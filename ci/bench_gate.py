@@ -41,6 +41,12 @@ Gated metrics:
 * `BENCH_chan.json` / `pipeline_msgs_per_ms` — throughput of the
   3-stage x 2-worker channel actor pipeline. Wall-clock on a shared
   runner, so it gets the wide 4x band against the committed value.
+* `BENCH_chan.json` / `pipeline_futex_wakes_per_msg` — kernel futex
+  wakes per message through the same pipeline. Only the adopted main
+  thread (the sink) ever blocks in the kernel, so a wake that reaches
+  the syscall is almost always wasted; the kernel-park count must keep
+  skipping them. Ceiling-gated at 1.0: without the count the pipeline
+  makes about 4.5 per message.
 * `BENCH_chan.json` / `wake_chain_p99_us` — p99 of the send-to-
   receiver-running latency with the receiver parked. Ceiling-gated
   high above the measured tail: a thundering herd or a wakeup retry
@@ -157,6 +163,13 @@ GATES = [
         "pipeline_msgs_per_ms",
         tolerance=0.75,
         why="the channel actor pipeline got dramatically slower",
+    ),
+    Gate(
+        "BENCH_chan.json",
+        "pipeline_futex_wakes_per_msg",
+        ceiling=1.0,
+        tolerance=0.0,
+        why="channel sends are issuing kernel futex wakes that cannot reach a waiter",
     ),
     Gate(
         "BENCH_chan.json",

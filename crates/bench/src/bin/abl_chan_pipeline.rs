@@ -9,7 +9,11 @@
 //!    conservation is checked arithmetically at the end. The
 //!    `pipeline_msgs_per_ms` note is wall-clock on a shared runner, so
 //!    the CI gate gives it the same wide 4x band as the other
-//!    wall-clock benches.
+//!    wall-clock benches. `pipeline_futex_wakes_per_msg` counts the
+//!    kernel futex wakes the run made per message: only the adopted
+//!    main thread (the sink) ever blocks in the kernel, so nearly every
+//!    wake must be skipped by the kernel-park count, and CI gates the
+//!    figure under a ceiling.
 //! 2. **Wake-chain latency.** One receiver parked on an empty channel;
 //!    the sender stamps an `Instant` into the message and the receiver
 //!    reports how stale it was on arrival — send, user-level unpark,
@@ -182,6 +186,8 @@ fn main() {
          futex_wakes={pipe_wakes} cap=64"
     ));
     t.note(format!("pipeline_msgs_per_ms={throughput:.2}"));
+    let wakes_per_msg = pipe_wakes as f64 / msgs as f64;
+    t.note(format!("pipeline_futex_wakes_per_msg={wakes_per_msg:.3}"));
 
     // 2. Wake-chain latency percentiles.
     let mut lat = wake_chain(samples);

@@ -12,8 +12,9 @@
 //! * The waking side bumps the event word and issues one
 //!   `strategy::unpark(1)` *only when the waiter count says someone is
 //!   parked*, so a send to a blocked receiver is one user-level wake
-//!   (the scheduler elides the kernel futex syscall when the user sleep
-//!   queue satisfied it) and a send to a polling receiver is free.
+//!   (the kernel futex syscall is skipped when the user sleep queue
+//!   satisfied it, or when no LWP is blocked in the kernel on the word)
+//!   and a send to a polling receiver is free.
 //!
 //! Unbounded channels keep the same ring as their fast path and spill
 //! into a mutex-guarded `VecDeque` only while the ring is full; per-sender

@@ -3,8 +3,6 @@
 use crate::arch::{self, MachContext};
 use crate::stack::Stack;
 
-type Payload = Box<dyn FnOnce() + Send + 'static>;
-
 /// A suspended thread of control: a stack, the machine context saved in
 /// process memory (the "thread state" box of the paper's Figure 2), and —
 /// until first resumed — the entry closure.
@@ -15,9 +13,14 @@ type Payload = Box<dyn FnOnce() + Send + 'static>;
 pub struct Continuation {
     ctx: MachContext,
     stack: Stack,
-    /// Entry closure, still owned by us until the first resume consumes it.
-    /// A raw pointer because its address is baked into the prepared context.
-    pending: *mut Payload,
+    /// Entry closure, stored at the top of `stack` and still owned by us
+    /// until the first resume hands it to the trampoline. A raw pointer
+    /// because its address is baked into the prepared context; null once
+    /// started.
+    pending: *mut u8,
+    /// Type-erased destructor for `pending`, run if the continuation is
+    /// dropped without ever starting.
+    drop_pending: unsafe fn(*mut u8),
 }
 
 // SAFETY: The stack and context are exclusively owned, and the payload
@@ -32,18 +35,34 @@ impl Continuation {
     /// context-switching away forever (e.g. the threads library's
     /// `thread_exit`). If `f` does return, the process aborts with a
     /// diagnostic rather than executing off the end of the stack.
+    ///
+    /// The closure is moved into the top of `stack` rather than onto the
+    /// heap: a thread leaves by switching away, so its entry frame never
+    /// unwinds and a boxed closure would never be freed.
     pub fn new<F>(stack: Stack, f: F) -> Continuation
     where
         F: FnOnce() + Send + 'static,
     {
-        let pending: *mut Payload = Box::into_raw(Box::new(Box::new(f) as Payload));
-        // SAFETY: `stack.top()` is the high end of a live writable mapping,
-        // and `cont_entry` never returns.
-        let ctx = unsafe { arch::prepare(stack.top(), cont_entry, pending as usize) };
+        let size = core::mem::size_of::<F>();
+        let align = core::mem::align_of::<F>();
+        assert!(
+            size + align <= stack.usable(),
+            "entry closure ({size} bytes) does not fit its {} byte stack",
+            stack.usable()
+        );
+        let pending = ((stack.top() as usize - size) & !(align - 1)) as *mut u8;
+        // SAFETY: `pending` is aligned for `F` and lies within the top
+        // `size + align` bytes of the stack's usable region (checked
+        // above), which nothing else uses until the first resume.
+        unsafe { pending.cast::<F>().write(f) };
+        // SAFETY: The region below `pending` is the live writable stack the
+        // entry runs on, and `cont_entry` never returns.
+        let ctx = unsafe { arch::prepare(pending, cont_entry::<F>, pending as usize) };
         Continuation {
             ctx,
             stack,
             pending,
+            drop_pending: drop_closure::<F>,
         }
     }
 
@@ -101,9 +120,10 @@ impl Continuation {
 
     fn reclaim_pending(&mut self) {
         if !self.pending.is_null() {
-            // SAFETY: The closure was never handed to the trampoline, so we
-            // still own the box.
-            drop(unsafe { Box::from_raw(self.pending) });
+            // SAFETY: The closure was never handed to the trampoline, so it
+            // is still initialized on the stack and owned by us; the
+            // destructor matches the type `new` wrote there.
+            unsafe { (self.drop_pending)(self.pending) };
             self.pending = core::ptr::null_mut();
         }
     }
@@ -124,11 +144,22 @@ impl core::fmt::Debug for Continuation {
     }
 }
 
-extern "C" fn cont_entry(arg: usize) -> ! {
+/// Drops an entry closure of type `F` that never started.
+///
+/// # Safety
+///
+/// `p` must point at an initialized `F` that nothing else will use.
+unsafe fn drop_closure<F>(p: *mut u8) {
+    // SAFETY: Upheld by the caller.
+    unsafe { core::ptr::drop_in_place(p.cast::<F>()) };
+}
+
+extern "C" fn cont_entry<F: FnOnce()>(arg: usize) -> ! {
     {
-        // SAFETY: `arg` is the Box::into_raw pointer from `new`, handed to
-        // exactly one first resume.
-        let f = unsafe { Box::from_raw(arg as *mut Payload) };
+        // SAFETY: `arg` is where `new` wrote the closure, handed to exactly
+        // one first resume, which gave up ownership. The read moves it into
+        // this frame; the slot above the frame is dead afterwards.
+        let f = unsafe { core::ptr::read(arg as *const F) };
         f();
     }
     // The closure returned instead of switching away; there is no caller to

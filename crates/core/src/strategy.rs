@@ -14,11 +14,15 @@
 //! * Variables with the `SHARED` variant never reach this strategy:
 //!   `sunmt-sync` routes them straight to the kernel, because "the thread is
 //!   temporarily bound to the LWP that is blocked by the kernel".
+//!
+//! Kernel parks and wakes go through `sunmt-sync`'s counted helpers
+//! ([`strategy::kernel_wait`] and friends), so an unpark that the
+//! user-level sleep queue did not satisfy still skips the syscall when no
+//! LWP can be blocked in the kernel on the word.
 
-use core::sync::atomic::{AtomicU32, Ordering};
+use core::sync::atomic::AtomicU32;
 
-use sunmt_sync::strategy::BlockStrategy;
-use sunmt_sys::futex::{self, Scope};
+use sunmt_sync::strategy::{self, BlockStrategy};
 
 use crate::sched::{self, Action};
 
@@ -46,9 +50,7 @@ impl BlockStrategy for MtStrategy {
             });
         } else {
             // Kernel sleep (bound thread / adopted thread / bare LWP).
-            if word.load(Ordering::SeqCst) == expected {
-                let _ = futex::wait(word, expected, Scope::Private);
-            }
+            strategy::kernel_wait(word, expected, false, None);
             sched::check_stop_current();
             crate::signals::poll();
         }
@@ -72,9 +74,7 @@ impl BlockStrategy for MtStrategy {
                 deadline: Some(deadline),
             });
         } else {
-            if word.load(Ordering::SeqCst) == expected {
-                let _ = futex::wait_timeout(word, expected, Scope::Private, timeout);
-            }
+            strategy::kernel_wait(word, expected, false, Some(timeout));
             sched::check_stop_current();
             crate::signals::poll();
         }
@@ -87,15 +87,16 @@ impl BlockStrategy for MtStrategy {
         // contract permits spurious wakes and all callers re-check.
         let woken = sched::user_unpark(word.as_ptr() as usize, n as usize);
         // If the user-level queue satisfied every requested wake, skip the
-        // kernel syscall: the contract only promises *up to* `n` wakes, and
+        // kernel half: the contract only promises *up to* `n` wakes, and
         // any bound waiter that raced in will be found by the next unpark
         // (its waker re-checks the word before parking). Never skipped for
-        // wake-all — `n == u32::MAX` must always flush kernel waiters too.
+        // wake-all — `n == u32::MAX` must always flush kernel waiters too,
+        // though the counted wake still skips the syscall when no LWP can
+        // be blocked on the word.
         if woken >= n as usize && n != u32::MAX {
             return;
         }
-        sunmt_trace::probe!(sunmt_trace::Tag::FutexWake, word.as_ptr() as usize, n);
-        let _ = futex::wake(word, n, Scope::Private);
+        strategy::kernel_wake(word, n, false);
     }
 
     fn unpark_requeue(&self, word: &AtomicU32, expected: u32, target: &AtomicU32, shared: bool) {
@@ -107,21 +108,7 @@ impl BlockStrategy for MtStrategy {
         // Kernel half, for bound threads (and bare LWPs) parked on the same
         // word. Both halves waking one waiter each is benign over-waking;
         // the futex-shaped contract permits spurious wakes.
-        match futex::cmp_requeue(word, expected, 1, target, i32::MAX as u32, Scope::Private) {
-            Ok(_) => {
-                sunmt_trace::probe!(sunmt_trace::Tag::FutexWake, word.as_ptr() as usize, 1u32);
-            }
-            Err(_) => {
-                // `word` moved on under us (racing signaller): fall back to
-                // the pre-morphing wake-everyone behaviour.
-                sunmt_trace::probe!(
-                    sunmt_trace::Tag::FutexWake,
-                    word.as_ptr() as usize,
-                    u32::MAX
-                );
-                let _ = futex::wake_all(word, Scope::Private);
-            }
-        }
+        strategy::kernel_requeue(word, expected, target, false);
     }
 
     fn yield_now(&self) {

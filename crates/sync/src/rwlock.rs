@@ -138,7 +138,7 @@ impl RwLock {
     }
 
     fn enter_writer(&self) {
-        self.wrwait.fetch_add(1, Ordering::Relaxed);
+        self.wrwait.fetch_add(1, Ordering::SeqCst);
         let mut t0 = 0u64;
         loop {
             if self
@@ -199,15 +199,20 @@ impl RwLock {
         let s = self.state.load(Ordering::Relaxed);
         if s & WRITER != 0 {
             debug_assert_eq!(s, WRITER, "writer hold must exclude all readers");
-            self.state.store(0, Ordering::Release);
+            // A swap, not a store: the release must be globally visible
+            // before `wake_after_release` reads `wrwait`. With a plain
+            // store the load can pass it (store buffering), read a stale
+            // zero while a new writer counts itself in and still sees the
+            // lock held, and that writer parks with nobody left to wake it.
+            self.state.swap(0, Ordering::SeqCst);
             self.wake_after_release(shared);
         } else {
             debug_assert_ne!(s & COUNT_MASK, 0, "rw_exit with no readers");
-            let prev = self.state.fetch_sub(1, Ordering::Release);
+            let prev = self.state.fetch_sub(1, Ordering::SeqCst);
             let remaining = prev - 1;
             if remaining & COUNT_MASK == 0 {
                 // Last reader gone; writers (if any) can now enter.
-                if self.wrwait.load(Ordering::Relaxed) > 0 {
+                if self.wrwait.load(Ordering::SeqCst) > 0 {
                     self.wrseq.fetch_add(1, Ordering::Release);
                     strategy::unpark(&self.wrseq, 1, shared);
                 }
@@ -222,7 +227,7 @@ impl RwLock {
     }
 
     fn wake_after_release(&self, shared: bool) {
-        if self.wrwait.load(Ordering::Relaxed) > 0 {
+        if self.wrwait.load(Ordering::SeqCst) > 0 {
             self.wrseq.fetch_add(1, Ordering::Release);
             strategy::unpark(&self.wrseq, 1, shared);
         } else {

@@ -18,8 +18,15 @@
 //! wait inherits the two-level blocking split (and the scheduler's
 //! futex-elision on user-level wakes) without that crate knowing which
 //! backend is installed.
+//!
+//! Kernel waits on private words are *counted*: every backend parks in
+//! the kernel through [`kernel_wait`], which bumps a per-address-slot
+//! count around the futex wait, and wakes through [`kernel_wake`] /
+//! [`kernel_requeue`], which skip the syscall when that count reads zero.
+//! A wake that finds no possible kernel waiter therefore costs a fence
+//! and a load instead of a system call.
 
-use core::sync::atomic::AtomicU32;
+use core::sync::atomic::{fence, AtomicU32, Ordering};
 use core::time::Duration;
 use std::sync::OnceLock;
 
@@ -47,13 +54,7 @@ pub trait BlockStrategy: Sync {
     /// threads library overrides it to put unbound threads on the
     /// user-level sleep queue with a deadline instead.
     fn park_timeout(&self, word: &AtomicU32, expected: u32, shared: bool, timeout: Duration) {
-        let scope = if shared {
-            Scope::Shared
-        } else {
-            Scope::Private
-        };
-        // Mismatch, wake, and timeout all mean "re-check".
-        let _ = futex::wait_timeout(word, expected, scope, timeout);
+        kernel_wait(word, expected, shared, Some(timeout));
     }
 
     /// Wakes up to `n` contexts parked on `word`.
@@ -74,27 +75,7 @@ pub trait BlockStrategy: Sync {
     /// overrides it to also migrate unbound threads between user-level
     /// sleep queues.
     fn unpark_requeue(&self, word: &AtomicU32, expected: u32, target: &AtomicU32, shared: bool) {
-        let scope = if shared {
-            Scope::Shared
-        } else {
-            Scope::Private
-        };
-        match futex::cmp_requeue(word, expected, 1, target, i32::MAX as u32, scope) {
-            Ok(moved) => {
-                sunmt_trace::probe!(sunmt_trace::Tag::FutexWake, word.as_ptr() as usize, 1u32);
-                let _ = moved;
-            }
-            Err(_) => {
-                // Stale `expected` (or an exotic futex failure): wake
-                // everyone, the pre-morphing behaviour.
-                sunmt_trace::probe!(
-                    sunmt_trace::Tag::FutexWake,
-                    word.as_ptr() as usize,
-                    u32::MAX
-                );
-                let _ = futex::wake_all(word, scope);
-            }
-        }
+        kernel_requeue(word, expected, target, shared);
     }
 
     /// Politely gives up the processor inside a spin loop.
@@ -152,28 +133,149 @@ pub struct KernelBlock;
 
 impl BlockStrategy for KernelBlock {
     fn park(&self, word: &AtomicU32, expected: u32, shared: bool) {
-        let scope = if shared {
-            Scope::Shared
-        } else {
-            Scope::Private
-        };
-        // Mismatch and wake both mean "re-check"; real errors here are
-        // programming bugs (bad pointer), which mmap'd atomics preclude.
-        let _ = futex::wait(word, expected, scope);
+        kernel_wait(word, expected, shared, None);
     }
 
     fn unpark(&self, word: &AtomicU32, n: u32, shared: bool) {
-        let scope = if shared {
-            Scope::Shared
-        } else {
-            Scope::Private
-        };
-        sunmt_trace::probe!(sunmt_trace::Tag::FutexWake, word.as_ptr() as usize, n);
-        let _ = futex::wake(word, n, scope);
+        kernel_wake(word, n, shared);
     }
 
     fn yield_now(&self) {
         task::sched_yield();
+    }
+}
+
+// ---------------------------------------------------------------------
+// Counted kernel waits.
+//
+// A kernel wake on a private word is only needed when some LWP may be
+// blocked in `futex_wait` on that word. `KPARKS` counts such waiters per
+// hashed address slot: the waiter increments its word's slot before its
+// final check of the word and decrements it after the wait returns, and
+// wakers issue the syscall only when the slot is non-zero.
+//
+// Ordering is the store-buffering (Dekker) pattern. The waiter does
+// `slot += 1` (SeqCst), then re-loads the word (SeqCst), then sleeps only
+// if the word still holds `expected`. The waker has already changed the
+// word; it issues a SeqCst fence and then loads the slot. In the single
+// total order either the waker's load follows the increment (it sees the
+// waiter and wakes it), or the waiter's re-load follows the fence (it
+// sees the new word and does not sleep). A skipped wake is therefore
+// equivalent to one issued before the waiter reached the kernel, which
+// the futex contract already treats as a no-op.
+//
+// Invariant: a slot may over-count (hash collisions, a requeue credit
+// that outlives the waiters it covered) but never under-counts the
+// waiters that a wake on a word hashing to it must reach.
+//
+// `SHARED` words are never counted or gated: their waiters may be in
+// other processes, whose counts this table cannot see.
+
+const KPARK_SLOTS: usize = 64;
+
+/// Ceiling for requeue credits, far above any real waiter count, so a
+/// long-lived slot's accumulated credit saturates instead of wrapping to
+/// an under-count.
+const KPARK_CAP: u32 = u32::MAX / 2;
+
+/// One slot per cache line: waiters on unrelated words do not make each
+/// other's wakers miss.
+#[repr(align(64))]
+struct KparkSlot(AtomicU32);
+
+static KPARKS: [KparkSlot; KPARK_SLOTS] = [const { KparkSlot(AtomicU32::new(0)) }; KPARK_SLOTS];
+
+fn scope(shared: bool) -> Scope {
+    if shared {
+        Scope::Shared
+    } else {
+        Scope::Private
+    }
+}
+
+/// The slot counting kernel waiters on `word` (Fibonacci hash of its
+/// address, top 6 bits).
+#[inline]
+fn kpark_slot(word: &AtomicU32) -> &'static AtomicU32 {
+    let h = (word.as_ptr() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58;
+    &KPARKS[h as usize].0
+}
+
+/// Blocks the calling LWP in the kernel while `*word == expected`, for at
+/// most `timeout` if one is given. Every kernel park of a sync variable
+/// goes through here, so the wake side can tell when nobody can be in
+/// the kernel. Mismatch, wake, timeout and `EINTR` all mean "re-check".
+pub fn kernel_wait(word: &AtomicU32, expected: u32, shared: bool, timeout: Option<Duration>) {
+    let slot = (!shared).then(|| kpark_slot(word));
+    if let Some(slot) = slot {
+        slot.fetch_add(1, Ordering::SeqCst);
+    }
+    if word.load(Ordering::SeqCst) == expected {
+        let _ = match timeout {
+            None => futex::wait(word, expected, scope(shared)),
+            Some(t) => futex::wait_timeout(word, expected, scope(shared), t),
+        };
+    }
+    if let Some(slot) = slot {
+        slot.fetch_sub(1, Ordering::Release);
+    }
+}
+
+/// Whether a kernel wake on `word` can reach anybody. The caller must
+/// already have published the change to `word` that the wake announces;
+/// see the ordering argument above. Always true for `SHARED` words.
+#[inline]
+fn kernel_waiters(word: &AtomicU32, shared: bool) -> bool {
+    if shared {
+        return true;
+    }
+    fence(Ordering::SeqCst);
+    kpark_slot(word).load(Ordering::Relaxed) != 0
+}
+
+/// Wakes up to `n` LWPs blocked in the kernel on `word`. The syscall is
+/// skipped when the word's kernel-park slot reads zero.
+pub fn kernel_wake(word: &AtomicU32, n: u32, shared: bool) {
+    if !kernel_waiters(word, shared) {
+        return;
+    }
+    sunmt_trace::probe!(sunmt_trace::Tag::FutexWake, word.as_ptr() as usize, n);
+    let _ = futex::wake(word, n, scope(shared));
+}
+
+/// The kernel half of wait morphing (see [`BlockStrategy::unpark_requeue`]):
+/// wakes one LWP blocked on `word` and moves the rest onto `target`.
+///
+/// The moved waiters stay counted in `word`'s slot, where they will
+/// decrement on wakeup, so `target`'s slot is credited with `word`'s
+/// count *before* the requeue: a later wake of `target` must not skip
+/// them. The credit is never taken back — over-counting is safe — and
+/// saturates at `KPARK_CAP`.
+pub fn kernel_requeue(word: &AtomicU32, expected: u32, target: &AtomicU32, shared: bool) {
+    if !kernel_waiters(word, shared) {
+        return;
+    }
+    let scope = scope(shared);
+    if !shared {
+        let credit = kpark_slot(word).load(Ordering::SeqCst);
+        let _ = kpark_slot(target).fetch_update(Ordering::SeqCst, Ordering::SeqCst, |c| {
+            Some(c.max(c.saturating_add(credit).min(KPARK_CAP)))
+        });
+    }
+    match futex::cmp_requeue(word, expected, 1, target, i32::MAX as u32, scope) {
+        Ok(_) => {
+            sunmt_trace::probe!(sunmt_trace::Tag::FutexWake, word.as_ptr() as usize, 1u32);
+        }
+        Err(_) => {
+            // Stale `expected` (or an exotic futex failure): wake
+            // everyone, the pre-morphing behaviour.
+            sunmt_trace::probe!(
+                sunmt_trace::Tag::FutexWake,
+                word.as_ptr() as usize,
+                u32::MAX
+            );
+            let _ = futex::wake_all(word, scope);
+        }
     }
 }
 
@@ -282,9 +384,21 @@ pub fn pi_strip(owner_hint: u32) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use core::sync::atomic::Ordering;
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc};
     use std::time::Duration;
+
+    /// Runs `f` on a helper thread and fails the test if it has not
+    /// finished within `secs`: a lost wakeup shows up as a named failure,
+    /// not a hung test binary.
+    fn within(secs: u64, what: &str, f: impl FnOnce() + Send + 'static) {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            f();
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(Duration::from_secs(secs))
+            .unwrap_or_else(|_| panic!("{what}: no progress in {secs}s (lost wakeup?)"));
+    }
 
     #[test]
     fn kernel_park_returns_on_value_mismatch() {
@@ -307,5 +421,73 @@ mod tests {
         w.store(1, Ordering::Release);
         unpark(&w, u32::MAX, false);
         h.join().unwrap();
+    }
+
+    #[test]
+    fn counted_wait_and_gated_wake_never_lose_a_handoff() {
+        // Two host threads hand a turn back and forth through one private
+        // word, each parking in the kernel until the other advances it.
+        // Every handoff is the store-buffering race the slot count must
+        // win: the waker's skipped wake is only safe if the waiter's
+        // re-load sees the new value.
+        const ROUNDS: u32 = 200_000;
+        within(120, "ping-pong", || {
+            let w = Arc::new(AtomicU32::new(0));
+            let w2 = Arc::clone(&w);
+            let pong = std::thread::spawn(move || {
+                for i in 0..ROUNDS {
+                    while w2.load(Ordering::Acquire) == 2 * i {
+                        park(&w2, 2 * i, false);
+                    }
+                    w2.store(2 * i + 2, Ordering::Release);
+                    unpark(&w2, 1, false);
+                }
+            });
+            for i in 0..ROUNDS {
+                w.store(2 * i + 1, Ordering::Release);
+                unpark(&w, 1, false);
+                while w.load(Ordering::Acquire) == 2 * i + 1 {
+                    park(&w, 2 * i + 1, false);
+                }
+            }
+            pong.join().unwrap();
+        });
+    }
+
+    #[test]
+    fn requeued_kernel_waiters_stay_wakeable_on_the_target() {
+        // The target word lives in a different slot from the source, so
+        // only the requeue credit can make a wake on it reach the waiter
+        // the kernel moved there.
+        static WORDS: [AtomicU32; 64] = [const { AtomicU32::new(0) }; 64];
+        let from = &WORDS[0];
+        let to = WORDS
+            .iter()
+            .find(|w| !core::ptr::eq(kpark_slot(w), kpark_slot(from)))
+            .expect("64 words span more than one slot");
+        let done: &'static AtomicU32 = &WORDS[63];
+        within(30, "requeue", move || {
+            let waiters: Vec<_> = (0..2)
+                .map(|_| {
+                    std::thread::spawn(move || {
+                        while done.load(Ordering::Acquire) == 0 {
+                            kernel_wait(from, 0, false, None);
+                        }
+                    })
+                })
+                .collect();
+            // Let both waiters reach the kernel: one is woken by the
+            // requeue, the other is moved onto `to`.
+            std::thread::sleep(Duration::from_millis(50));
+            kernel_requeue(from, 0, to, false);
+            done.store(1, Ordering::Release);
+            from.fetch_add(1, Ordering::Release);
+            kernel_wake(from, u32::MAX, false);
+            to.fetch_add(1, Ordering::Release);
+            kernel_wake(to, u32::MAX, false);
+            for h in waiters {
+                h.join().unwrap();
+            }
+        });
     }
 }

@@ -5,16 +5,32 @@
 //! the crate's acceptance path).
 //!
 //! Channels are per-test instances, so these tests run in parallel; the
-//! only shared state is the threads runtime, which `init` makes
-//! idempotent.
+//! shared state is the threads runtime, which `init` makes idempotent,
+//! and the process-wide trace counters, which the one test that counts
+//! futex wakes reads with every other test held off (`exclusive`).
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 use sunos_mt::chan::{self, EventBus, RecvTimeoutError, Select, TryRecvError, TrySendError};
+use sunos_mt::sync::{Sema, SyncType};
 use sunos_mt::threads::{self, CreateFlags, ThreadBuilder, ThreadId};
+use sunos_mt::trace::{self, Tag};
+
+/// Held shared by every test, and exclusively by the one that counts
+/// kernel futex wakes: other tests' kernel parks (the adopted test thread
+/// blocking on a channel) make real wakes that would land in its window.
+static RUN: RwLock<()> = RwLock::new(());
+
+fn concurrent() -> RwLockReadGuard<'static, ()> {
+    RUN.read().unwrap_or_else(|e| e.into_inner())
+}
+
+fn exclusive() -> RwLockWriteGuard<'static, ()> {
+    RUN.write().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Spawns an *unbound* joinable thread — the multiplexed kind whose
 /// blocking goes through the user-level sleep queue.
@@ -27,6 +43,7 @@ fn unbound(f: impl FnOnce() + Send + 'static) -> ThreadId {
 
 #[test]
 fn bounded_handoff_is_fifo_across_unbound_threads() {
+    let _run = concurrent();
     threads::init();
     const N: u64 = 10_000;
     // Capacity far below N: the producer must repeatedly block on a
@@ -46,6 +63,7 @@ fn bounded_handoff_is_fifo_across_unbound_threads() {
 
 #[test]
 fn mpmc_conserves_every_message_under_contention() {
+    let _run = concurrent();
     threads::init();
     const PRODUCERS: u64 = 4;
     const CONSUMERS: usize = 4;
@@ -96,6 +114,7 @@ fn mpmc_conserves_every_message_under_contention() {
 
 #[test]
 fn full_bounded_channel_applies_backpressure() {
+    let _run = concurrent();
     threads::init();
     // `bounded` promises *at least* the requested capacity; the ring
     // rounds a request of 1 up to its floor of 2.
@@ -121,6 +140,7 @@ fn full_bounded_channel_applies_backpressure() {
 
 #[test]
 fn unbounded_spill_preserves_single_sender_order() {
+    let _run = concurrent();
     threads::init();
     // Far past the internal ring, so the overflow spill engages.
     const N: u64 = 5_000;
@@ -137,6 +157,7 @@ fn unbounded_spill_preserves_single_sender_order() {
 
 #[test]
 fn recv_timeout_expires_then_delivers() {
+    let _run = concurrent();
     threads::init();
     let (tx, rx) = chan::bounded::<u32>(4);
 
@@ -169,6 +190,7 @@ fn recv_timeout_expires_then_delivers() {
 
 #[test]
 fn disconnect_wakes_a_blocked_receiver_and_fails_senders() {
+    let _run = concurrent();
     threads::init();
     let (tx, rx) = chan::bounded::<u32>(4);
     let receiver = unbound(move || {
@@ -187,6 +209,7 @@ fn disconnect_wakes_a_blocked_receiver_and_fails_senders() {
 
 #[test]
 fn select_reports_the_ready_port() {
+    let _run = concurrent();
     threads::init();
     let (tx_a, rx_a) = chan::bounded::<u32>(4);
     let (tx_b, rx_b) = chan::bounded::<&'static str>(4);
@@ -214,6 +237,7 @@ fn select_reports_the_ready_port() {
 
 #[test]
 fn select_covers_mpsc_receivers_and_disconnects() {
+    let _run = concurrent();
     threads::init();
     let (tx, rx) = chan::mpsc::channel::<u32>(4);
     let mut sel = Select::new();
@@ -226,6 +250,7 @@ fn select_covers_mpsc_receivers_and_disconnects() {
 
 #[test]
 fn event_bus_fans_out_in_order_and_prunes_dead_subscribers() {
+    let _run = concurrent();
     threads::init();
     let bus = EventBus::new();
     let a = bus.subscribe();
@@ -249,6 +274,7 @@ fn event_bus_fans_out_in_order_and_prunes_dead_subscribers() {
 
 #[test]
 fn mpsc_receiver_blocks_and_drains_like_the_core_channel() {
+    let _run = concurrent();
     threads::init();
     const N: u64 = 1_000;
     let (tx, rx) = chan::mpsc::unbounded::<u64>();
@@ -277,6 +303,7 @@ fn mpsc_receiver_blocks_and_drains_like_the_core_channel() {
 /// user-level sleeps multiplexed over the LWP pool.
 #[test]
 fn async_recv_await_runs_on_an_unbound_thread() {
+    let _run = concurrent();
     threads::init();
     let (tx, rx) = chan::bounded::<u64>(4);
     let (done_tx, done_rx) = chan::bounded::<u64>(1);
@@ -300,6 +327,7 @@ fn async_recv_await_runs_on_an_unbound_thread() {
 
 #[test]
 fn block_on_drives_futures_on_the_calling_thread() {
+    let _run = concurrent();
     threads::init();
     // Trivially ready future: no parks at all.
     assert_eq!(chan::block_on(async { 2 + 2 }), 4);
@@ -316,4 +344,137 @@ fn block_on_drives_futures_on_the_calling_thread() {
     );
     threads::wait(Some(sender)).expect("join");
     assert!(chan::block_on(rx.recv_async()).is_err());
+}
+
+/// The paper's claim for in-process interaction: "without involving the
+/// operating system". A pipeline made only of unbound threads parks and
+/// wakes entirely on user-level sleep queues, so no send may fall through
+/// to a kernel futex wake, even while a woken receiver still counts as a
+/// waiter because it has not been dispatched yet.
+#[test]
+fn unbound_pipeline_issues_no_futex_wakes() {
+    let _run = exclusive();
+    threads::init();
+    const STAGES: usize = 3;
+    const MSGS: u64 = 10_000;
+
+    let mut hops: Vec<_> = (0..=STAGES).map(|_| chan::bounded::<u64>(8)).collect();
+    let mut ids = Vec::new();
+    for s in 0..STAGES {
+        let rx = hops[s].1.clone();
+        let tx = hops[s + 1].0.clone();
+        ids.push(unbound(move || {
+            while let Ok(v) = rx.recv() {
+                tx.send(v + 1).expect("downstream stage alive");
+            }
+        }));
+    }
+    let (source, _) = hops.remove(0);
+    let (_, sink) = hops.pop().expect("sink hop");
+    drop(hops);
+
+    // The sink is unbound too, and samples the counter the moment the
+    // last message arrives; this thread polls instead of blocking, so it
+    // never parks in the kernel while the window is open.
+    let done = Arc::new(AtomicU64::new(u64::MAX));
+    let done2 = Arc::clone(&done);
+    ids.push(unbound(move || {
+        let mut sum = 0;
+        for _ in 0..MSGS {
+            sum += sink.recv().expect("pipeline alive");
+        }
+        let wakes = trace::counters().get(Tag::FutexWake);
+        assert_eq!(sum, (0..MSGS).map(|i| i + STAGES as u64).sum::<u64>());
+        done2.store(wakes, Ordering::SeqCst);
+    }));
+    trace::enable();
+    ids.push(unbound(move || {
+        for i in 0..MSGS {
+            source.send(i).expect("stage 0 alive");
+        }
+    }));
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while done.load(Ordering::SeqCst) == u64::MAX {
+        assert!(Instant::now() < deadline, "pipeline stalled");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    trace::disable();
+    let wakes = done.load(Ordering::SeqCst);
+    for id in ids {
+        threads::wait(Some(id)).expect("join stage");
+    }
+    assert_eq!(
+        wakes, 0,
+        "{wakes} kernel futex wakes for {MSGS} messages between unbound threads"
+    );
+}
+
+/// Receivers that block in the kernel — a bound thread, and the adopted
+/// test thread itself — fed by unbound senders whose wakes the kernel-park
+/// count may skip. Any lost wakeup hangs a receiver; the watchdog turns
+/// that into a failure instead of a stuck test run.
+#[test]
+fn kernel_blocked_receivers_never_miss_a_wake() {
+    let _run = concurrent();
+    threads::init();
+    const N: u64 = 100_000;
+
+    let finished = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&finished);
+    std::thread::spawn(move || {
+        let deadline = Instant::now() + Duration::from_secs(120);
+        while !flag.load(Ordering::SeqCst) {
+            if Instant::now() > deadline {
+                eprintln!("kernel_blocked_receivers_never_miss_a_wake: lost wakeup, aborting");
+                std::process::abort();
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    });
+
+    // Channel, then semaphore; each received by `receive`.
+    fn channel_rounds() -> u64 {
+        let (tx, rx) = chan::bounded::<u64>(1);
+        let sender = unbound(move || {
+            for i in 0..N {
+                tx.send(i).expect("receiver alive");
+            }
+        });
+        let mut sum = 0;
+        while let Ok(v) = rx.recv() {
+            sum += v;
+        }
+        threads::wait(Some(sender)).expect("join sender");
+        sum
+    }
+    fn sema_rounds() -> u64 {
+        let sema = Arc::new(Sema::new(0, SyncType::DEFAULT));
+        let s = Arc::clone(&sema);
+        let poster = unbound(move || {
+            for _ in 0..N {
+                s.v();
+            }
+        });
+        for _ in 0..N {
+            sema.p();
+        }
+        threads::wait(Some(poster)).expect("join poster");
+        N
+    }
+    let expect = N * (N - 1) / 2;
+
+    // Bound receiver.
+    let bound = ThreadBuilder::new()
+        .flags(CreateFlags::WAIT | CreateFlags::BIND_LWP)
+        .spawn(move || {
+            assert_eq!(channel_rounds(), expect);
+            assert_eq!(sema_rounds(), N);
+        })
+        .expect("spawn bound receiver");
+    threads::wait(Some(bound)).expect("join bound receiver");
+
+    // Adopted receiver: this test thread.
+    assert_eq!(channel_rounds(), expect);
+    assert_eq!(sema_rounds(), N);
+    finished.store(true, Ordering::SeqCst);
 }

@@ -54,18 +54,22 @@ impl Monitor {
     }
 }
 
-#[test]
-fn broadcast_morphs_instead_of_thundering() {
+/// Parks `WAITERS` threads created with `flags` on a condition variable,
+/// then broadcasts with the mutex held and checks the herd morphed onto
+/// the mutex queue and that every waiter still gets through.
+fn broadcast_morph(flags: CreateFlags) {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     trace::enable();
 
     let mon = Arc::new(Monitor::new());
+    let left = Arc::new(AtomicUsize::new(0));
     let mut ids = Vec::new();
     for _ in 0..WAITERS {
         let s = Arc::clone(&mon);
+        let left = Arc::clone(&left);
         ids.push(
             ThreadBuilder::new()
-                .flags(CreateFlags::WAIT)
+                .flags(CreateFlags::WAIT | flags)
                 .spawn(move || {
                     s.m.enter();
                     s.entered.fetch_add(1, Ordering::SeqCst);
@@ -73,6 +77,7 @@ fn broadcast_morphs_instead_of_thundering() {
                         s.cv.wait(&s.m);
                     }
                     s.m.exit();
+                    left.fetch_add(1, Ordering::SeqCst);
                 })
                 .expect("spawn waiter"),
         );
@@ -98,10 +103,35 @@ fn broadcast_morphs_instead_of_thundering() {
     );
     assert!(requeues >= 1, "broadcast never took the morph path");
 
+    // Every morphed waiter must be released by the mutex exits alone; a
+    // waiter stranded on the mutex queue fails here instead of hanging
+    // the join below.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while left.load(Ordering::SeqCst) < WAITERS {
+        assert!(
+            Instant::now() < deadline,
+            "only {} of {WAITERS} morphed waiters woke",
+            left.load(Ordering::SeqCst)
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     for id in ids {
         threads::wait(Some(id)).expect("join waiter");
     }
     trace::disable();
+}
+
+#[test]
+fn broadcast_morphs_instead_of_thundering() {
+    broadcast_morph(CreateFlags::NONE);
+}
+
+/// Bound waiters block in the kernel, so the broadcast morphs them with a
+/// kernel requeue; the mutex exits that release them must not be skipped
+/// as wakes nobody could receive.
+#[test]
+fn broadcast_morphs_bound_waiters_and_wakes_them_all() {
+    broadcast_morph(CreateFlags::BIND_LWP);
 }
 
 #[test]
