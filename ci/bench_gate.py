@@ -61,17 +61,6 @@ Gated metrics:
   latency across the matrix. Ceiling-gated far above the measured
   tail: a waiter that misses its shard's event and limps home on a
   retry path turns a ~100us wake into tens of milliseconds.
-* `BENCH_mutex.json` / `queue_speedup_high` — best queue-lock (ticket/
-  MCS/hybrid) throughput over the sleep lock at the matrix's highest
-  bound contention. On the 1-CPU CI hosts the queue locks pay for
-  their FIFO discipline (~0.6x), so the absolute floor of 0.35 is a
-  collapse detector, not a speedup claim: a lost handoff or a wake
-  storm drops straight through it.
-* `BENCH_mutex.json` / `queue_fairness_spread` — worst per-worker
-  acquisition spread (max/min) across the gated queue-lock cells, the
-  starvation measure. FIFO handoff pins this near 1; ceiling-gated
-  with room for scheduler noise, because a broken queue discipline
-  shows up as spreads in the hundreds.
 * `BENCH_preempt.json` / `p99_dispatch_us` — p99 probe dispatch
   latency onto hog-occupied shards in the virtual-time preemption
   simulation. Deterministic, ceiling-gated at two tick periods: a
@@ -190,20 +179,6 @@ GATES = [
         ceiling=20000.0,
         tolerance=0.0,
         why="the sharded poller's wake latency grew a pathological tail",
-    ),
-    Gate(
-        "BENCH_mutex.json",
-        "queue_speedup_high",
-        floor=0.35,
-        tolerance=0.0,
-        why="queue-lock throughput collapsed relative to the sleep lock at high contention",
-    ),
-    Gate(
-        "BENCH_mutex.json",
-        "queue_fairness_spread",
-        ceiling=10.0,
-        tolerance=0.5,
-        why="a queue lock is starving workers (FIFO handoff discipline broken)",
     ),
     Gate(
         "BENCH_preempt.json",

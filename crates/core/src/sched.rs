@@ -276,15 +276,20 @@ pub(crate) fn preempt_check() {
     m.decays.fetch_add(1, Ordering::Relaxed);
     probe!(Tag::PrioDecay, t.id.0, decayed);
     let eff = decayed.max(sunmt_lwp::boost_of(me.running_hint()));
-    let Some(shard) = my_shard() else { return };
-    if m.runq.preempt_priority(shard) > eff {
+    drop(me);
+    if my_shard().is_some_and(|shard| m.runq.preempt_priority(shard) > eff) {
         m.preempts.fetch_add(1, Ordering::Relaxed);
         probe!(Tag::Preempt, t.id.0, eff);
         drop(t);
-        drop(me);
         // Requeued at the decayed priority (RunItem::priority is the
         // effective priority), so the thread it starved dispatches first.
+        // The switch back in is a signal delivery point.
         deschedule(Action::Yield);
+    } else {
+        // A tick is a signal delivery point too: `send_interrupt` raises
+        // this flag to bring the thread it chose here.
+        drop(t);
+        crate::signals::poll();
     }
 }
 
@@ -357,20 +362,7 @@ pub(crate) fn current_thread() -> Arc<Thread> {
         .expect("thread registry poisoned")
         .insert(id.0, Arc::clone(&t));
     CURRENT.with(|c| *c.borrow_mut() = Some(Arc::clone(&t)));
-    ADOPTED.with(|a| a.store(true, Ordering::Relaxed));
     t
-}
-
-thread_local! {
-    static ADOPTED: std::sync::atomic::AtomicBool =
-        const { std::sync::atomic::AtomicBool::new(false) };
-}
-
-/// Whether `t` is an adopted host thread (the initial thread or a test
-/// harness thread) rather than a library-created one.
-pub(crate) fn is_adopted(t: &Arc<Thread>) -> bool {
-    maybe_current().is_some_and(|c| Arc::ptr_eq(&c, t))
-        && ADOPTED.with(|a| a.load(Ordering::Relaxed))
 }
 
 fn alloc_id(m: &Mt) -> ThreadId {
@@ -871,6 +863,9 @@ pub(crate) fn finish_thread_common(t: &Arc<Thread>) {
     probe!(Tag::ThreadExit, t.id.0);
     if t.flags.contains(CreateFlags::WAIT) {
         t.set_state(ThreadState::Zombie);
+        crate::signals::hand_back_interrupts(t);
+        // A `thread_stop` waiting for this thread to stop sees it exit.
+        notify_stoppers(t);
         let zombies = m.zombies.lock().expect("zombie list poisoned");
         if t.claimed.load(Ordering::SeqCst) {
             drop(zombies);
@@ -883,6 +878,8 @@ pub(crate) fn finish_thread_common(t: &Arc<Thread>) {
         }
     } else {
         t.set_state(ThreadState::Dead);
+        crate::signals::hand_back_interrupts(t);
+        notify_stoppers(t);
         m.threads
             .lock()
             .expect("thread registry poisoned")
@@ -1045,11 +1042,21 @@ fn stop_other(t: Arc<Thread>) -> Result<()> {
                 // point to divert it.
                 t.stop_requested.store(true, Ordering::SeqCst);
                 t.stop_waiters.fetch_add(1, Ordering::SeqCst);
-                if t.state() == ThreadState::Stopped {
-                    // commit_stop published `Stopped` before collecting
-                    // waiters, so we may have registered too late; withdraw.
-                    t.stop_waiters.fetch_sub(1, Ordering::SeqCst);
-                    return Ok(());
+                if matches!(
+                    t.state(),
+                    ThreadState::Stopped | ThreadState::Zombie | ThreadState::Dead
+                ) {
+                    // Stop and exit publish the new state before collecting
+                    // waiters, so we may have registered too late: withdraw
+                    // a registration nobody collected, or consume the post
+                    // made for one that was, then re-observe.
+                    if t.stop_waiters
+                        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                        .is_err()
+                    {
+                        t.stop_event.p();
+                    }
+                    continue;
                 }
                 t.stop_event.p();
                 // Loop to confirm (a racing continue may have restarted it).

@@ -31,6 +31,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::sched;
+use crate::thread::Thread;
 use crate::types::{MtError, Result, ThreadId, ThreadState};
 
 /// A signal number in `1..=63`.
@@ -185,7 +186,7 @@ pub fn thread_kill(id: ThreadId, signo: SigNo) -> Result<()> {
 /// `sigsend(P_THREAD_ALL)`: sends `signo` to every thread in the process.
 pub fn sigsend_all(signo: SigNo) -> Result<()> {
     let bit = validate(signo)?;
-    let threads: Vec<Arc<crate::thread::Thread>> = sched::mt()
+    let threads: Vec<Arc<Thread>> = sched::mt()
         .threads
         .lock()
         .expect("thread registry poisoned")
@@ -207,40 +208,60 @@ pub fn sigsend_all(signo: SigNo) -> Result<()> {
 /// signal mask. If more than one thread is enabled to receive the
 /// interrupt, only one is chosen." With every thread masking it, the signal
 /// pends on the process.
+///
+/// Delivery happens at delivery points, so the interrupt is pended only on
+/// a thread sure to reach one: the caller (which polls right here), or a
+/// running or runnable thread the library created, whose LWP is kicked so
+/// it notices at its next safepoint. Adopted host threads reach a delivery
+/// point only when they next call in, and sleeping or stopped threads only
+/// when woken; with no better taker the interrupt pends on the process,
+/// where the first thread to poll with it unmasked claims it.
 pub fn send_interrupt(signo: SigNo) -> Result<()> {
     let bit = validate(signo)?;
-    let threads: Vec<Arc<crate::thread::Thread>> = sched::mt()
+    let enabled = |t: &Thread| t.sigmask.load(Ordering::SeqCst) & bit == 0;
+    if let Some(me) = sched::maybe_current().filter(|t| enabled(t)) {
+        me.pending.fetch_or(bit, Ordering::SeqCst);
+        poll();
+        return Ok(());
+    }
+    let threads: Vec<Arc<Thread>> = sched::mt()
         .threads
         .lock()
         .expect("thread registry poisoned")
         .values()
         .cloned()
         .collect();
-    // Prefer a thread that will reach a delivery point soon.
-    let pick = threads
-        .iter()
-        .find(|t| {
-            matches!(t.state(), ThreadState::Running | ThreadState::Runnable)
-                && t.sigmask.load(Ordering::SeqCst) & bit == 0
-        })
-        .or_else(|| {
-            threads.iter().find(|t| {
-                !matches!(t.state(), ThreadState::Zombie | ThreadState::Dead)
-                    && t.sigmask.load(Ordering::SeqCst) & bit == 0
-            })
-        });
-    match pick {
-        Some(t) => {
-            t.pending.fetch_or(bit, Ordering::SeqCst);
-            if sched::maybe_current().is_some_and(|c| Arc::ptr_eq(&c, t)) {
-                poll();
-            }
-        }
-        None => {
+    let pick = threads.iter().find(|t| {
+        !t.adopted()
+            && matches!(t.state(), ThreadState::Running | ThreadState::Runnable)
+            && enabled(t)
+    });
+    let Some(t) = pick else {
+        sched::mt().proc_pending.fetch_or(bit, Ordering::SeqCst);
+        return Ok(());
+    };
+    t.intr_pending.fetch_or(bit, Ordering::SeqCst);
+    // Exit marks the thread, then hands its interrupts back. If it was
+    // marked before this pend landed, the hand-back may have missed the
+    // bit: whichever side clears it returns it to the process.
+    if matches!(t.state(), ThreadState::Zombie | ThreadState::Dead) {
+        if t.intr_pending.fetch_and(!bit, Ordering::SeqCst) & bit != 0 {
             sched::mt().proc_pending.fetch_or(bit, Ordering::SeqCst);
         }
+    } else {
+        sunmt_lwp::raise_preempt(t.on_lwp_hint.load(Ordering::Acquire));
     }
     Ok(())
+}
+
+/// Returns the interrupts `send_interrupt` pended on `t` that it never
+/// claimed to the process, so another thread can take them. Called when
+/// `t` exits and again when its object is recycled.
+pub(crate) fn hand_back_interrupts(t: &Thread) {
+    let left = t.intr_pending.swap(0, Ordering::SeqCst);
+    if left != 0 {
+        sched::mt().proc_pending.fetch_or(left, Ordering::SeqCst);
+    }
 }
 
 /// Raises a synchronous *trap* in the calling thread, delivered
@@ -277,6 +298,19 @@ pub fn poll() {
     // Expire per-thread interval timers first, so their signals join this
     // delivery round.
     crate::timers::poll_current(&t);
+    // Claim the interrupts a sender chose this thread for; any it has
+    // masked since go back to the process for another thread to take.
+    // Every dispatch polls, so the common empty case is one plain load.
+    if t.intr_pending.load(Ordering::SeqCst) != 0 {
+        let chosen = t.intr_pending.swap(0, Ordering::SeqCst);
+        let mask = t.sigmask.load(Ordering::SeqCst);
+        t.pending.fetch_or(chosen & !mask, Ordering::SeqCst);
+        if chosen & mask != 0 {
+            sched::mt()
+                .proc_pending
+                .fetch_or(chosen & mask, Ordering::SeqCst);
+        }
+    }
     // Claim process-pending interrupts this thread does not mask.
     loop {
         let mask = t.sigmask.load(Ordering::SeqCst);

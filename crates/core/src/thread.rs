@@ -36,6 +36,11 @@ pub(crate) struct Thread {
     pub(crate) sigmask: AtomicU64,
     /// Per-thread pending signal set (non-queuing, like UNIX).
     pub(crate) pending: AtomicU64,
+    /// Process-directed interrupts `send_interrupt` chose this thread
+    /// for, not yet claimed at a delivery point. Kept apart from
+    /// `pending` so that a thread exiting first hands them back to the
+    /// process instead of losing them.
+    pub(crate) intr_pending: AtomicU64,
     /// A `thread_stop` has been issued and takes effect at the next
     /// scheduling point.
     pub(crate) stop_requested: AtomicBool,
@@ -123,6 +128,7 @@ impl Thread {
             priority: AtomicI32::new(priority),
             sigmask: AtomicU64::new(sigmask),
             pending: AtomicU64::new(0),
+            intr_pending: AtomicU64::new(0),
             stop_requested: AtomicBool::new(false),
             stop_waiters: AtomicU32::new(0),
             stop_event: Sema::new(0, SyncType::DEFAULT),
@@ -172,6 +178,7 @@ impl Thread {
         *self.priority.get_mut() = priority;
         *self.sigmask.get_mut() = sigmask;
         *self.pending.get_mut() = 0;
+        crate::signals::hand_back_interrupts(self);
         *self.stop_requested.get_mut() = false;
         *self.stop_waiters.get_mut() = 0;
         *self.claimed.get_mut() = false;
@@ -208,6 +215,14 @@ impl Thread {
             0,
             ThreadState::Runnable,
         )
+    }
+
+    /// Whether this is an adopted host thread (the initial thread or a
+    /// test-harness thread) rather than one `thread_create` made. The
+    /// library cannot bring such a thread to a delivery point; it reaches
+    /// one only when it next calls in.
+    pub(crate) fn adopted(&self) -> bool {
+        self.bound && !self.flags.contains(CreateFlags::BIND_LWP)
     }
 
     pub(crate) fn state(&self) -> ThreadState {
@@ -370,7 +385,7 @@ where
 pub fn exit() -> ! {
     let t = sched::current_thread();
     assert!(
-        !(t.bound && sched::is_adopted(&t)),
+        !t.adopted(),
         "thread_exit() from the initial thread is not supported"
     );
     panic::resume_unwind(Box::new(ExitToken));

@@ -4,34 +4,8 @@
 //! both space and time and are therefore suitable for high frequency usage.
 //! Mutex locks are strictly bracketing in that it is an error for a thread
 //! to release a lock not held by the thread."
-//!
-//! # Queue-lock variants (ticket / MCS / futex-hybrid)
-//!
-//! Beyond the paper's sleep, spin, and adaptive variants — all of which
-//! collapse onto one centralized word under real contention — the lock
-//! word can also run a FIFO *ticket* protocol (arXiv 2512.08563's basic
-//! lock suite for lightweight-thread environments):
-//!
-//! * [`SyncType::TICKET`] packs a next-ticket counter (high 16 bits) and a
-//!   now-serving counter (low 16 bits) into the one lock word. Waiters
-//!   spin; grants are strictly FIFO. Because all state lives in the mapped
-//!   word, `TICKET | SHARED` works across processes unchanged.
-//! * [`SyncType::HYBRID`] is the same ticket discipline with a bounded
-//!   spin followed by a park on the word through the blocking strategy —
-//!   unbound threads sleep on the user-level sleep queue, bound/LWP
-//!   callers and `SHARED` variables block in the kernel futex. Release
-//!   bumps now-serving and wakes the word only when someone is queued.
-//! * [`SyncType::MCS`] swaps a *node index* into the word as the queue
-//!   tail; each waiter spins, then parks, on its **own** node's state word
-//!   and is handed off directly by its predecessor — no cache-line storm,
-//!   no thundering herd. Nodes come from a per-process static pool, which
-//!   is exactly why `MCS | SHARED` cannot work: the word would carry
-//!   process-local node addresses that mean nothing in another address
-//!   space, and a remote waiter could never spin on (or wake) a node it
-//!   cannot map. `MCS | SHARED` therefore degrades to the `HYBRID`
-//!   protocol, whose state is entirely in the shared word.
 
-use core::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use core::sync::atomic::{AtomicU32, Ordering};
 
 use crate::strategy;
 use crate::types::SyncType;
@@ -40,18 +14,6 @@ use crate::types::SyncType;
 const UNLOCKED: u32 = 0;
 const LOCKED: u32 = 1;
 const CONTENDED: u32 = 2;
-
-/// Ticket-word layout: low half = now-serving, high half = next ticket.
-/// Zero (serving == next == 0) is the unlocked state, preserving the
-/// "allocated as zero may be used immediately" rule.
-const TICKET_SERVING_MASK: u32 = 0xFFFF;
-const TICKET_NEXT_UNIT: u32 = 1 << 16;
-
-/// Spin budget of the futex-hybrid variant before a waiter parks.
-const HYBRID_SPINS: u32 = 100;
-
-/// Spin budget of an MCS waiter on its own node before it parks.
-const MCS_SPINS: u32 = 100;
 
 /// Spin budget for the adaptive variant when no owner-LWP hint is
 /// available (no threads library installed, or the `DEBUG` bit claims the
@@ -63,111 +25,9 @@ const ADAPTIVE_SPINS: u32 = 100;
 /// blocked in places the run flags cannot see (plain system calls).
 const ADAPTIVE_SPIN_CAP: u32 = 4096;
 
-/// The effective protocol a queue-bit `SyncType` selects.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum QueueKind {
-    /// FIFO ticket spin.
-    Ticket,
-    /// FIFO ticket with queue-then-park.
-    Hybrid,
-    /// Node-queue handoff (per-process).
-    Mcs,
-}
-
-/// Maps the variant bits to the protocol actually run. `MCS | SHARED`
-/// degrades to `Hybrid`: MCS nodes are per-process (see the module docs),
-/// while the hybrid protocol keeps the FIFO guarantee with all state in
-/// the shared word.
-#[inline]
-fn queue_kind(kind: SyncType) -> Option<QueueKind> {
-    if kind.is_mcs() {
-        if kind.is_shared() {
-            Some(QueueKind::Hybrid)
-        } else {
-            Some(QueueKind::Mcs)
-        }
-    } else if kind.is_hybrid() {
-        Some(QueueKind::Hybrid)
-    } else if kind.is_ticket() {
-        Some(QueueKind::Ticket)
-    } else {
-        None
-    }
-}
-
-// ---------------------------------------------------------------------
-// The per-process MCS node pool.
-//
-// The lock word stores `index + 1` of the tail node; `0` means unheld.
-// Each enter claims a node for the duration of the acquire..release
-// bracket (queue position while waiting, holder identity afterwards), so
-// the pool bounds *concurrent* MCS brackets, not locks: a node is
-// returned as soon as its release hands off.
-
-/// Concurrent MCS enter..exit brackets supported per process. Allocation
-/// spins (politely) when all nodes are claimed, so exceeding it degrades
-/// throughput, never correctness.
-const MCS_POOL: usize = 1024;
-
-/// Node states: the owner-to-be spins on `WAIT`, announces `PARKED`
-/// before sleeping so the releaser knows a futex wake is needed, and the
-/// releaser stores `GRANTED` to hand off.
-const MCS_GRANTED: u32 = 0;
-const MCS_WAIT: u32 = 1;
-const MCS_PARKED: u32 = 2;
-
-struct McsNode {
-    /// Successor node (`index + 1`; 0 = none yet).
-    next: AtomicU32,
-    /// Handoff word ([`MCS_WAIT`] / [`MCS_PARKED`] / [`MCS_GRANTED`]).
-    state: AtomicU32,
-    /// Pool claim flag (0 free, 1 claimed).
-    claimed: AtomicU32,
-}
-
-impl McsNode {
-    const fn new() -> McsNode {
-        McsNode {
-            next: AtomicU32::new(0),
-            state: AtomicU32::new(0),
-            claimed: AtomicU32::new(0),
-        }
-    }
-}
-
-static MCS_NODES: [McsNode; MCS_POOL] = [const { McsNode::new() }; MCS_POOL];
-
-/// Rotating scan start, so allocations spread over the pool instead of
-/// contending on slot 0.
-static MCS_CLOCK: AtomicUsize = AtomicUsize::new(0);
-
-/// Claims a free node (index), spinning politely under pool exhaustion.
-fn mcs_alloc() -> usize {
-    let start = MCS_CLOCK.fetch_add(1, Ordering::Relaxed);
-    loop {
-        for probe in 0..MCS_POOL {
-            let i = (start + probe) % MCS_POOL;
-            if MCS_NODES[i].claimed.load(Ordering::Relaxed) == 0
-                && MCS_NODES[i]
-                    .claimed
-                    .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-            {
-                return i;
-            }
-        }
-        strategy::yield_now();
-    }
-}
-
-#[inline]
-fn mcs_free(i: usize) {
-    MCS_NODES[i].claimed.store(0, Ordering::Release);
-}
-
 /// A SunOS-style mutual exclusion lock (`mutex_t`).
 ///
-/// Four words, position independent, and valid when zeroed — it may be
+/// Three words, position independent, and valid when zeroed — it may be
 /// embedded in a structure, placed in `MAP_SHARED` memory, or stored in a
 /// file record (the paper's database example) when initialized with
 /// [`SyncType::SHARED`].
@@ -186,11 +46,6 @@ pub struct Mutex {
     /// are set, `DEBUG` wins and the adaptive path falls back to a fixed
     /// spin budget.
     owner: AtomicU32,
-    /// The holder's MCS node (`index + 1`; zero otherwise). Written only
-    /// by the holder between acquire and release, so plain relaxed
-    /// accesses suffice — holdership itself transfers through the node
-    /// state word. Unused by the non-MCS variants.
-    qnode: AtomicU32,
 }
 
 impl Mutex {
@@ -200,7 +55,6 @@ impl Mutex {
             word: AtomicU32::new(UNLOCKED),
             kind: AtomicU32::new(kind.0),
             owner: AtomicU32::new(0),
-            qnode: AtomicU32::new(0),
         }
     }
 
@@ -211,7 +65,6 @@ impl Mutex {
         self.word.store(UNLOCKED, Ordering::Release);
         self.kind.store(kind.0, Ordering::Release);
         self.owner.store(0, Ordering::Release);
-        self.qnode.store(0, Ordering::Release);
     }
 
     /// `mutex_destroy()`: asserts the lock is unheld and scrubs it back to
@@ -227,7 +80,6 @@ impl Mutex {
         self.word.store(UNLOCKED, Ordering::Release);
         self.kind.store(0, Ordering::Release);
         self.owner.store(0, Ordering::Release);
-        self.qnode.store(0, Ordering::Release);
     }
 
     #[inline]
@@ -251,10 +103,6 @@ impl Mutex {
     #[inline]
     pub fn enter(&self) {
         let kind = self.kind();
-        if let Some(q) = queue_kind(kind) {
-            self.enter_queue(kind, q);
-            return;
-        }
         if kind.is_debug() {
             self.enter_debug();
             return;
@@ -432,281 +280,6 @@ impl Mutex {
         }
     }
 
-    // -----------------------------------------------------------------
-    // Queue-lock protocols (ticket / futex-hybrid / MCS).
-
-    /// `mutex_enter` for the queue variants. The `DEBUG` bit composes:
-    /// recursion is caught before queueing (a recursive ticket enter would
-    /// otherwise deadlock silently) and the holder identity is published
-    /// after the grant.
-    fn enter_queue(&self, kind: SyncType, q: QueueKind) {
-        if kind.is_debug() {
-            assert_ne!(
-                self.owner.load(Ordering::Acquire),
-                strategy::self_id(),
-                "DEBUG mutex: recursive mutex_enter by the holder"
-            );
-        }
-        match q {
-            QueueKind::Ticket => self.enter_ticket(kind, false),
-            QueueKind::Hybrid => self.enter_ticket(kind, true),
-            QueueKind::Mcs => self.enter_mcs(),
-        }
-        if kind.is_debug() {
-            self.owner.store(strategy::self_id(), Ordering::Release);
-        }
-    }
-
-    /// The ticket protocol: take a ticket with one `fetch_add`, wait until
-    /// now-serving reaches it. `park` selects the futex-hybrid discipline
-    /// (bounded spin, then sleep on the word); without it the waiter spins
-    /// with periodic yields, the FIFO spin lock.
-    fn enter_ticket(&self, kind: SyncType, park: bool) {
-        let w = self.word.fetch_add(TICKET_NEXT_UNIT, Ordering::AcqRel);
-        let my = (w >> 16) & TICKET_SERVING_MASK;
-        if w & TICKET_SERVING_MASK == my {
-            if sunmt_stat::enabled() {
-                sunmt_stat::lock::acquired(self.site());
-            }
-            return;
-        }
-        sunmt_trace::probe!(
-            sunmt_trace::Tag::MutexQueueWait,
-            self.site(),
-            my.wrapping_sub(w & TICKET_SERVING_MASK) & TICKET_SERVING_MASK
-        );
-        let t0 = sunmt_stat::lock::slow_begin(self.site());
-        let shared = kind.is_shared();
-        let mut spins = 0u32;
-        let mut ever_parked = false;
-        loop {
-            let cur = self.word.load(Ordering::Acquire);
-            if cur & TICKET_SERVING_MASK == my {
-                break;
-            }
-            if park && spins >= HYBRID_SPINS {
-                // Queue-then-park: sleep on the whole word. Any grant (or
-                // a new arrival) changes it, so the sleep can never miss
-                // the serving bump; spurious wakes just re-check.
-                if sunmt_stat::enabled() {
-                    sunmt_stat::lock::parked(self.site());
-                }
-                ever_parked = true;
-                strategy::park(&self.word, cur, shared);
-            } else {
-                core::hint::spin_loop();
-                spins += 1;
-                if !park && spins % 1024 == 0 {
-                    strategy::yield_now();
-                }
-            }
-        }
-        if sunmt_stat::enabled() {
-            sunmt_stat::lock::spun(self.site(), u64::from(spins), !ever_parked);
-            sunmt_stat::lock::acquired_slow(self.site(), t0);
-        }
-    }
-
-    /// Releases a ticket-protocol lock: bump now-serving (high half
-    /// preserved — plain `fetch_add(1)` would carry into the next-ticket
-    /// field at the 16-bit wrap and issue a ticket nobody holds), then, in
-    /// the hybrid discipline, wake the word when someone is queued. The
-    /// wake is all-sleepers: only the next ticket holder proceeds, the
-    /// rest re-check and re-park — the herd a dedicated queue (MCS)
-    /// avoids, priced against the shared-memory capability it buys.
-    fn exit_ticket(&self, kind: SyncType, park: bool) {
-        let mut cur = self.word.load(Ordering::Relaxed);
-        let had_waiters = loop {
-            debug_assert_ne!(
-                (cur >> 16) & TICKET_SERVING_MASK,
-                cur & TICKET_SERVING_MASK,
-                "mutex_exit of an unheld mutex"
-            );
-            let new_serving = (cur.wrapping_add(1)) & TICKET_SERVING_MASK;
-            let new = (cur & !TICKET_SERVING_MASK) | new_serving;
-            match self
-                .word
-                .compare_exchange_weak(cur, new, Ordering::Release, Ordering::Relaxed)
-            {
-                Ok(_) => break (cur >> 16) & TICKET_SERVING_MASK != new_serving,
-                Err(v) => cur = v,
-            }
-        };
-        if park && had_waiters {
-            strategy::unpark(&self.word, u32::MAX, kind.is_shared());
-        }
-    }
-
-    /// The MCS protocol: swap our node in as the queue tail; if there was
-    /// a predecessor, link behind it and wait on our *own* node's state
-    /// word — a bounded spin, then a park announced via [`MCS_PARKED`] so
-    /// the releaser knows whether a futex wake is owed.
-    fn enter_mcs(&self) {
-        let my = mcs_alloc();
-        let node = &MCS_NODES[my];
-        node.next.store(0, Ordering::Relaxed);
-        node.state.store(MCS_WAIT, Ordering::Relaxed);
-        let tag = my as u32 + 1;
-        let prev = self.word.swap(tag, Ordering::AcqRel);
-        if prev == UNLOCKED {
-            self.qnode.store(tag, Ordering::Relaxed);
-            if sunmt_stat::enabled() {
-                sunmt_stat::lock::acquired(self.site());
-            }
-            return;
-        }
-        sunmt_trace::probe!(sunmt_trace::Tag::MutexQueueWait, self.site(), prev);
-        let t0 = sunmt_stat::lock::slow_begin(self.site());
-        MCS_NODES[(prev - 1) as usize]
-            .next
-            .store(tag, Ordering::Release);
-        let mut spins = 0u32;
-        let mut ever_parked = false;
-        loop {
-            match node.state.load(Ordering::Acquire) {
-                MCS_GRANTED => break,
-                MCS_WAIT if spins < MCS_SPINS => {
-                    core::hint::spin_loop();
-                    spins += 1;
-                }
-                _ => {
-                    // Announce the park; losing the race to a concurrent
-                    // grant means we are already the holder.
-                    if node
-                        .state
-                        .compare_exchange(MCS_WAIT, MCS_PARKED, Ordering::AcqRel, Ordering::Acquire)
-                        .is_err()
-                        && node.state.load(Ordering::Acquire) == MCS_GRANTED
-                    {
-                        break;
-                    }
-                    if sunmt_stat::enabled() {
-                        sunmt_stat::lock::parked(self.site());
-                    }
-                    ever_parked = true;
-                    // MCS nodes are process-local, so the park is always
-                    // private scope — which is why MCS | SHARED degrades
-                    // to the hybrid protocol instead of reaching here.
-                    strategy::park(&node.state, MCS_PARKED, false);
-                }
-            }
-        }
-        self.qnode.store(tag, Ordering::Relaxed);
-        if sunmt_stat::enabled() {
-            sunmt_stat::lock::spun(self.site(), u64::from(spins), !ever_parked);
-            sunmt_stat::lock::acquired_slow(self.site(), t0);
-        }
-    }
-
-    /// Releases an MCS lock: hand off to the linked successor, or swing
-    /// the tail back to empty. A successor that has swapped the tail but
-    /// not yet linked is waited out (it is one store away).
-    fn exit_mcs(&self) {
-        let my = self.qnode.load(Ordering::Relaxed);
-        debug_assert_ne!(my, 0, "mutex_exit of an unheld mutex");
-        self.qnode.store(0, Ordering::Relaxed);
-        let node = &MCS_NODES[(my - 1) as usize];
-        let mut next = node.next.load(Ordering::Acquire);
-        if next == 0 {
-            if self
-                .word
-                .compare_exchange(my, UNLOCKED, Ordering::Release, Ordering::Relaxed)
-                .is_ok()
-            {
-                mcs_free((my - 1) as usize);
-                return;
-            }
-            while {
-                next = node.next.load(Ordering::Acquire);
-                next == 0
-            } {
-                core::hint::spin_loop();
-            }
-        }
-        // Our node is dead once the successor is known; recycle it before
-        // the handoff so the pool never holds more nodes than brackets.
-        mcs_free((my - 1) as usize);
-        let succ = &MCS_NODES[(next - 1) as usize];
-        let prev = succ.state.swap(MCS_GRANTED, Ordering::AcqRel);
-        sunmt_trace::probe!(
-            sunmt_trace::Tag::MutexHandoff,
-            self.site(),
-            u32::from(prev == MCS_PARKED)
-        );
-        if prev == MCS_PARKED {
-            strategy::unpark(&succ.state, 1, false);
-        }
-    }
-
-    /// `mutex_tryenter` for the queue variants: one atomic claim attempt,
-    /// never queueing.
-    fn try_enter_queue(&self, kind: SyncType, q: QueueKind) -> bool {
-        let ok = match q {
-            QueueKind::Ticket | QueueKind::Hybrid => {
-                let cur = self.word.load(Ordering::Relaxed);
-                // Free iff next == serving; taking the ticket then grants
-                // immediately.
-                (cur >> 16) & TICKET_SERVING_MASK == cur & TICKET_SERVING_MASK
-                    && self
-                        .word
-                        .compare_exchange(
-                            cur,
-                            cur.wrapping_add(TICKET_NEXT_UNIT),
-                            Ordering::Acquire,
-                            Ordering::Relaxed,
-                        )
-                        .is_ok()
-            }
-            QueueKind::Mcs => {
-                let my = mcs_alloc();
-                let node = &MCS_NODES[my];
-                node.next.store(0, Ordering::Relaxed);
-                node.state.store(MCS_WAIT, Ordering::Relaxed);
-                let tag = my as u32 + 1;
-                if self
-                    .word
-                    .compare_exchange(UNLOCKED, tag, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    self.qnode.store(tag, Ordering::Relaxed);
-                    true
-                } else {
-                    mcs_free(my);
-                    false
-                }
-            }
-        };
-        if ok {
-            if kind.is_debug() {
-                self.owner.store(strategy::self_id(), Ordering::Release);
-            }
-            if sunmt_stat::enabled() {
-                sunmt_stat::lock::acquired(self.site());
-            }
-        }
-        ok
-    }
-
-    /// `mutex_exit` for the queue variants.
-    fn exit_queue(&self, kind: SyncType, q: QueueKind) {
-        if sunmt_stat::enabled() {
-            sunmt_stat::lock::released(self.site());
-        }
-        if kind.is_debug() {
-            assert_eq!(
-                self.owner.load(Ordering::Acquire),
-                strategy::self_id(),
-                "DEBUG mutex: mutex_exit by a non-holder"
-            );
-            self.owner.store(0, Ordering::Release);
-        }
-        match q {
-            QueueKind::Ticket => self.exit_ticket(kind, false),
-            QueueKind::Hybrid => self.exit_ticket(kind, true),
-            QueueKind::Mcs => self.exit_mcs(),
-        }
-    }
-
     /// Prepares this mutex as a wait-morphing target and returns its lock
     /// word, or `None` when morphing is not applicable.
     ///
@@ -725,10 +298,7 @@ impl Mutex {
     ///   to waking everyone.
     pub(crate) fn requeue_target(&self, shared: bool) -> Option<&AtomicU32> {
         let kind = self.kind();
-        if kind.is_spin() || kind.is_queue() || kind.is_shared() != shared {
-            // Queue variants run a FIFO word protocol, not the
-            // three-state one — there is no CONTENDED state to park a
-            // morphed waiter behind, so broadcasts wake everyone instead.
+        if kind.is_spin() || kind.is_shared() != shared {
             return None;
         }
         let mut cur = self.word.load(Ordering::Relaxed);
@@ -758,9 +328,9 @@ impl Mutex {
     /// the morphed chain asleep forever.
     pub(crate) fn enter_cv(&self) {
         let kind = self.kind();
-        if kind.is_spin() || kind.is_queue() {
-            // Spin and queue waiters are never morphed (`requeue_target`
-            // declines them); the plain path is correct.
+        if kind.is_spin() {
+            // Spin waiters are never morphed (`requeue_target` declines
+            // them); the plain path is correct.
             self.enter();
             return;
         }
@@ -798,9 +368,6 @@ impl Mutex {
     #[inline]
     pub fn try_enter(&self) -> bool {
         let kind = self.kind();
-        if let Some(q) = queue_kind(kind) {
-            return self.try_enter_queue(kind, q);
-        }
         let ok = self
             .word
             .compare_exchange(UNLOCKED, LOCKED, Ordering::Acquire, Ordering::Relaxed)
@@ -827,10 +394,6 @@ impl Mutex {
     #[inline]
     pub fn exit(&self) {
         let kind = self.kind();
-        if let Some(q) = queue_kind(kind) {
-            self.exit_queue(kind, q);
-            return;
-        }
         // Close the hold interval while still the holder (the site's
         // hold clock is single-writer only under the lock's exclusion).
         if sunmt_stat::enabled() {
@@ -878,16 +441,7 @@ impl Mutex {
     /// Whether the lock is currently held by someone (a racy snapshot, for
     /// assertions and tests only).
     pub fn is_locked(&self) -> bool {
-        let w = self.word.load(Ordering::Relaxed);
-        match queue_kind(self.kind()) {
-            // Ticket protocols are held while serving trails next.
-            Some(QueueKind::Ticket) | Some(QueueKind::Hybrid) => {
-                (w >> 16) & TICKET_SERVING_MASK != w & TICKET_SERVING_MASK
-            }
-            // Any tail node means a holder (or queued waiters behind one).
-            Some(QueueKind::Mcs) => w != UNLOCKED,
-            None => w != UNLOCKED,
-        }
+        self.word.load(Ordering::Relaxed) != UNLOCKED
     }
 }
 
@@ -908,7 +462,7 @@ mod tests {
     fn zeroed_bytes_are_a_valid_unlocked_mutex() {
         // The paper's "allocated as zero may be used immediately" rule.
         let zeroed = [0u8; core::mem::size_of::<Mutex>()];
-        // SAFETY: Mutex is repr(C) over four AtomicU32s; all-zero is the
+        // SAFETY: Mutex is repr(C) over three AtomicU32s; all-zero is the
         // documented valid default state.
         let m: &Mutex = unsafe { &*(zeroed.as_ptr() as *const Mutex) };
         assert!(!m.is_locked());
@@ -980,62 +534,8 @@ mod tests {
     }
 
     #[test]
-    fn mutual_exclusion_ticket_variant() {
-        hammer(SyncType::TICKET);
-    }
-
-    #[test]
-    fn mutual_exclusion_mcs_variant() {
-        hammer(SyncType::MCS);
-    }
-
-    #[test]
-    fn mutual_exclusion_hybrid_variant() {
-        hammer(SyncType::HYBRID);
-    }
-
-    #[test]
-    fn mutual_exclusion_debug_queue_variants() {
-        hammer(SyncType::TICKET | SyncType::DEBUG);
-        hammer(SyncType::MCS | SyncType::DEBUG);
-        hammer(SyncType::HYBRID | SyncType::DEBUG);
-    }
-
-    #[test]
-    fn queue_variants_try_enter_and_is_locked() {
-        for kind in [SyncType::TICKET, SyncType::MCS, SyncType::HYBRID] {
-            let m = Mutex::new(kind);
-            assert!(!m.is_locked());
-            assert!(m.try_enter());
-            assert!(m.is_locked());
-            assert!(!m.try_enter());
-            m.exit();
-            assert!(!m.is_locked());
-            // Grants stay FIFO across the counter wrap region too: cycle
-            // enough brackets to wrap a 16-bit ticket space.
-            for _ in 0..70_000 {
-                m.enter();
-                m.exit();
-            }
-            assert!(!m.is_locked());
-        }
-    }
-
-    #[test]
-    fn mcs_shared_degrades_to_hybrid() {
-        // MCS nodes are process-local; or'ing SHARED must select the
-        // all-in-the-word hybrid protocol (word never holds a node index).
-        let m = Mutex::new(SyncType::MCS | SyncType::SHARED);
-        m.enter();
-        assert!(m.is_locked());
-        m.exit();
-        assert!(!m.is_locked());
-        hammer(SyncType::MCS | SyncType::SHARED);
-    }
-
-    #[test]
     fn destroy_scrubs_back_to_default() {
-        let m = Mutex::new(SyncType::TICKET);
+        let m = Mutex::new(SyncType::ADAPTIVE | SyncType::DEBUG);
         m.enter();
         m.exit();
         m.destroy();

@@ -29,20 +29,6 @@ impl SyncType {
     /// panics instead of corrupting state. Costs one extra word of traffic
     /// per operation; not usable across processes.
     pub const DEBUG: SyncType = SyncType(0x8);
-    /// Ticket lock: FIFO-fair spin (mutexes only). Next/now-serving
-    /// tickets are packed into the one lock word, so the variant stays
-    /// position independent and — unlike the queue variants — works across
-    /// processes when `SHARED` is or'd in.
-    pub const TICKET: SyncType = SyncType(0x10);
-    /// MCS queue lock (mutexes only): each waiter spins (then parks) on
-    /// its *own* cache line, handed off FIFO by its predecessor. Queue
-    /// nodes hold process-local addresses, so `MCS | SHARED` degrades to
-    /// the [`Self::HYBRID`] protocol (see the mutex module docs).
-    pub const MCS: SyncType = SyncType(0x20);
-    /// Futex-hybrid queue lock (mutexes only): ticket FIFO order with a
-    /// bounded spin, then park in the blocking strategy (user sleep queue
-    /// for unbound threads, kernel futex for LWPs and `SHARED`).
-    pub const HYBRID: SyncType = SyncType(0x40);
 
     /// Whether the `SHARED` bit is set.
     #[inline]
@@ -66,31 +52,6 @@ impl SyncType {
     #[inline]
     pub fn is_debug(self) -> bool {
         self.0 & Self::DEBUG.0 != 0
-    }
-
-    /// Whether the `TICKET` bit is set.
-    #[inline]
-    pub fn is_ticket(self) -> bool {
-        self.0 & Self::TICKET.0 != 0
-    }
-
-    /// Whether the `MCS` bit is set.
-    #[inline]
-    pub fn is_mcs(self) -> bool {
-        self.0 & Self::MCS.0 != 0
-    }
-
-    /// Whether the `HYBRID` bit is set.
-    #[inline]
-    pub fn is_hybrid(self) -> bool {
-        self.0 & Self::HYBRID.0 != 0
-    }
-
-    /// Whether any of the queue-lock bits (`TICKET`, `MCS`, `HYBRID`) is
-    /// set — these share the FIFO word protocol and are mutex-only.
-    #[inline]
-    pub fn is_queue(self) -> bool {
-        self.0 & (Self::TICKET.0 | Self::MCS.0 | Self::HYBRID.0) != 0
     }
 }
 
@@ -118,15 +79,5 @@ mod tests {
         assert!(t.is_shared());
         assert!(t.is_spin());
         assert!(!t.is_adaptive());
-    }
-
-    #[test]
-    fn queue_bits_compose() {
-        assert!(SyncType::TICKET.is_ticket() && SyncType::TICKET.is_queue());
-        assert!(SyncType::MCS.is_mcs() && SyncType::MCS.is_queue());
-        assert!(SyncType::HYBRID.is_hybrid() && SyncType::HYBRID.is_queue());
-        let t = SyncType::TICKET | SyncType::SHARED;
-        assert!(t.is_queue() && t.is_shared());
-        assert!(!SyncType::DEFAULT.is_queue() && !SyncType::ADAPTIVE.is_queue());
     }
 }

@@ -76,8 +76,6 @@ fn render_class(tag: Tag) -> RenderClass {
         | Tag::SelectWake
         | Tag::IoShardSteal
         | Tag::IoBatchFlush
-        | Tag::MutexQueueWait
-        | Tag::MutexHandoff
         | Tag::Preempt
         | Tag::PrioDecay
         | Tag::PiBoost

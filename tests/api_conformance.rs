@@ -1,17 +1,35 @@
 //! FIG4 conformance: every function in the paper's Figure 4 exists under
 //! its original name and behaves as specified. This test is the index the
 //! DESIGN.md experiment table points at for Figure 4.
+//!
+//! The tests share one process, so the `thread_wait(NULL)` test may
+//! legitimately reap a `THREAD_WAIT` thread another test is about to wait
+//! for by id. It therefore runs with every other test held off
+//! (`exclusive`).
 
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLockReadGuard, RwLockWriteGuard};
 
 use sunos_mt::sync::{Condvar, Mutex, RwLock, RwType, Sema, SyncType};
 use sunos_mt::threads::api::*;
 use sunos_mt::threads::signals::{self, MaskHow};
 use sunos_mt::threads::{CreateFlags, ThreadId};
 
+/// Held shared by every test, and exclusively by the one that reaps with
+/// `thread_wait(NULL)`.
+static RUN: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
+fn concurrent() -> RwLockReadGuard<'static, ()> {
+    RUN.read().unwrap_or_else(|e| e.into_inner())
+}
+
+fn exclusive() -> RwLockWriteGuard<'static, ()> {
+    RUN.write().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn thread_create_and_thread_wait() {
+    let _run = concurrent();
     let ran = Arc::new(AtomicU32::new(0));
     let r = Arc::clone(&ran);
     let id = thread_create(CreateFlags::WAIT, move || {
@@ -24,6 +42,7 @@ fn thread_create_and_thread_wait() {
 
 #[test]
 fn thread_create_sized_stack() {
+    let _run = concurrent();
     let id = thread_create_sized(256 * 1024, CreateFlags::WAIT, || {
         // Use a chunk of the larger stack.
         let big = [0u8; 64 * 1024];
@@ -35,6 +54,7 @@ fn thread_create_sized_stack() {
 
 #[test]
 fn thread_create_on_programmer_stack() {
+    let _run = concurrent();
     // "If stack_addr is not NULL, stack_size bytes of memory starting at
     // stack_addr are used for the thread stack." Reclaimed only after
     // thread_wait returns.
@@ -61,6 +81,7 @@ fn thread_create_on_programmer_stack() {
 
 #[test]
 fn thread_get_id_is_stable_and_unique() {
+    let _run = concurrent();
     let me = thread_get_id();
     assert_eq!(thread_get_id(), me);
     let other = Arc::new(AtomicU32::new(0));
@@ -75,6 +96,7 @@ fn thread_get_id_is_stable_and_unique() {
 
 #[test]
 fn thread_exit_terminates_early() {
+    let _run = concurrent();
     let after = Arc::new(AtomicU32::new(0));
     let a = Arc::clone(&after);
     let id = thread_create(CreateFlags::WAIT, move || {
@@ -91,6 +113,7 @@ fn thread_exit_terminates_early() {
 
 #[test]
 fn thread_stop_and_thread_continue() {
+    let _run = concurrent();
     let progress = Arc::new(AtomicU32::new(0));
     let p = Arc::clone(&progress);
     let id = thread_create(CreateFlags::WAIT | CreateFlags::STOP, move || {
@@ -105,7 +128,55 @@ fn thread_stop_and_thread_continue() {
 }
 
 #[test]
+fn thread_stop_of_a_thread_that_exits_returns() {
+    let _run = concurrent();
+    // "thread_stop() does not return until the specified thread is
+    // stopped". A target that exits instead of stopping must release the
+    // stopper with an error, not leave it waiting forever.
+    let go = Arc::new(AtomicU32::new(0));
+    let running = Arc::new(AtomicU32::new(0));
+    let (g, r) = (Arc::clone(&go), Arc::clone(&running));
+    // Bound, and spinning on plain atomics: the target reaches no
+    // scheduling point, so it never honours the stop request.
+    let id = thread_create(CreateFlags::WAIT | CreateFlags::BIND_LWP, move || {
+        r.store(1, Ordering::SeqCst);
+        while g.load(Ordering::SeqCst) == 0 {
+            std::hint::spin_loop();
+        }
+    })
+    .expect("thread_create");
+    while running.load(Ordering::SeqCst) == 0 {
+        std::thread::yield_now();
+    }
+    let done = Arc::new(AtomicU32::new(0));
+    let d = Arc::clone(&done);
+    let stopper = std::thread::spawn(move || {
+        let res = thread_stop(Some(id));
+        d.store(1, Ordering::SeqCst);
+        res
+    });
+    // Let the stopper register as a waiter before the target exits. If it
+    // is late, it sees the exit directly and the test still passes.
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    go.store(1, Ordering::SeqCst);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while done.load(Ordering::SeqCst) == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "thread_stop hung on a thread that exited"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    assert!(
+        stopper.join().expect("stopper panicked").is_err(),
+        "stopping an exited thread must fail"
+    );
+    thread_wait(Some(id)).expect("thread_wait");
+}
+
+#[test]
 fn thread_priority_returns_old_value() {
+    let _run = concurrent();
     let old = thread_priority(None, 7).expect("thread_priority");
     assert!(old >= 0);
     assert_eq!(thread_priority(None, old).expect("restore"), 7);
@@ -113,6 +184,7 @@ fn thread_priority_returns_old_value() {
 
 #[test]
 fn thread_priority_demotion_kicks_a_running_thread() {
+    let _run = concurrent();
     // "Increasing the specified priority gives increasing scheduling
     // priority" — and a *demotion* of a running unbound thread must take
     // effect within one tick, not at its next voluntary reschedule:
@@ -173,12 +245,14 @@ fn thread_priority_demotion_kicks_a_running_thread() {
 
 #[test]
 fn thread_setconcurrency_accepts_zero_and_n() {
+    let _run = concurrent();
     thread_setconcurrency(2).expect("explicit");
     thread_setconcurrency(0).expect("automatic");
 }
 
 #[test]
 fn thread_sigsetmask_and_thread_kill() {
+    let _run = concurrent();
     let hits = Arc::new(AtomicU32::new(0));
     let h = Arc::clone(&hits);
     signals::set_disposition(
@@ -198,11 +272,13 @@ fn thread_sigsetmask_and_thread_kill() {
 
 #[test]
 fn thread_kill_unknown_thread_errors() {
+    let _run = concurrent();
     assert!(thread_kill(ThreadId(u32::MAX - 17), signals::sig::SIGINT).is_err());
 }
 
 #[test]
 fn mutex_functions_by_paper_name() {
+    let _run = concurrent();
     let m = Mutex::new(SyncType::DEFAULT);
     mutex_init(&m, SyncType::DEFAULT);
     mutex_enter(&m);
@@ -214,6 +290,7 @@ fn mutex_functions_by_paper_name() {
 
 #[test]
 fn condvar_functions_by_paper_name() {
+    let _run = concurrent();
     let m = Mutex::new(SyncType::DEFAULT);
     let cv = Condvar::new(SyncType::DEFAULT);
     cv_init(&cv, SyncType::DEFAULT);
@@ -230,6 +307,7 @@ fn condvar_functions_by_paper_name() {
 
 #[test]
 fn sema_functions_by_paper_name() {
+    let _run = concurrent();
     let s = Sema::new(0, SyncType::DEFAULT);
     sema_init(&s, 2, SyncType::DEFAULT);
     sema_p(&s);
@@ -241,6 +319,7 @@ fn sema_functions_by_paper_name() {
 
 #[test]
 fn rwlock_functions_by_paper_name() {
+    let _run = concurrent();
     let l = RwLock::new(SyncType::DEFAULT);
     rw_init(&l, SyncType::DEFAULT);
     rw_enter(&l, RwType::Reader);
@@ -256,6 +335,7 @@ fn rwlock_functions_by_paper_name() {
 
 #[test]
 fn waitid_style_any_wait() {
+    let _run = exclusive();
     // "P_THREAD_ALL: waitid() waits for any thread marked THREAD_WAIT."
     let id = thread_create(CreateFlags::WAIT, || {}).expect("thread_create");
     let got = thread_wait(None).expect("thread_wait(NULL)");
@@ -270,6 +350,7 @@ fn waitid_style_any_wait() {
 
 #[test]
 fn cv_timedwait_by_paper_name() {
+    let _run = concurrent();
     // Kernel-futex path: the caller here is a bound (adopted host) thread.
     let m = Mutex::new(SyncType::DEFAULT);
     let cv = Condvar::new(SyncType::DEFAULT);
@@ -323,6 +404,7 @@ fn cv_timedwait_by_paper_name() {
 
 #[test]
 fn sema_timedp_by_paper_name() {
+    let _run = concurrent();
     // Timeout on an empty semaphore (bound caller, kernel-futex path)...
     let s = Sema::new(0, SyncType::DEFAULT);
     assert!(!sema_timedp(&s, std::time::Duration::from_millis(20)));

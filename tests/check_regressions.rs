@@ -101,26 +101,6 @@ const CORPUS: &[(&str, &str)] = &[
         "v1/neg_io_lost_wakeup/default/1.1.0.0.0.0.0.1",
         "lost wakeup",
     ),
-    // The MCS lost handoff: thread 1 swaps itself in as the queue tail,
-    // and before it can store the predecessor link the seeded-buggy exit
-    // sees next==null, skips the tail check, and releases anyway — the
-    // successor then links to a departed node and parks forever on a
-    // lock nobody holds. Found by the exhaustive sweep.
-    (
-        "v1/neg_mcs_lost_handoff/default/0.0.0.1.1.1",
-        "lost handoff",
-    ),
-    // Adversarial passing schedules through the queue locks: maximal
-    // alternation drives every enter through the queued slow path
-    // (mutex-queue-wait fires) and every release through the wake or
-    // node-to-node handoff (mutex-handoff fires), and the FIFO/handoff
-    // oracles must stay silent — for the ticket protocol also under the
-    // cross-process SYNC_SHARED parking, and for MCS also under DEBUG
-    // ownership bookkeeping.
-    ("v1/mutex_ticket/default/1.1.1.1.1.1.1.1.1.1.1.1", ""),
-    ("v1/mutex_ticket/shared/1.1.1.1.1.1.1.1.1.1.1.1", ""),
-    ("v1/mutex_mcs/default/1.1.1.1.1.1.1.1.1.1.1.1", ""),
-    ("v1/mutex_mcs/debug/2.1.2.1.2.1.2.1.2.1", ""),
     // Adversarial passing schedule through the sharded poller: shard 1's
     // batch is stolen by the idle sibling, shard 0's flusher parks empty
     // and is kicked awake by the registration, and one fd's readiness

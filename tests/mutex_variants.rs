@@ -1,11 +1,12 @@
-//! Queue-lock conformance: every `SyncType` mutex variant round-trips
-//! `init`/`enter`/`exit`/`destroy` under real contention, on bound and
-//! unbound threads, and the `DEBUG` bit catches unlock-by-non-owner for
-//! the queued protocols exactly as it does for the three-state word.
+//! Mutex-variant conformance: the paper's sleep (default), spin and
+//! adaptive variants, with and without the `DEBUG` bit, exclude under
+//! real contention on threads the library creates — bound ones, and
+//! unbound ones multiplexed over the LWP pool — and round-trip
+//! `init`/`enter`/`exit`/`destroy`. The `DEBUG` bit catches
+//! unlock-by-non-owner on every variant, including `ADAPTIVE`, whose
+//! `owner` word otherwise carries the holder's LWP hint.
 //!
-//! The cross-*process* leg (SYNC_SHARED ticket lock in a `MAP_SHARED`
-//! file) lives in `crates/shm`'s test suite next to the other
-//! cooperating-process tests.
+//! The cross-*process* leg of `SHARED` lives in `tests/cross_process.rs`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -14,9 +15,9 @@ use sunos_mt::sync::{api, Mutex, SyncType};
 use sunos_mt::threads::{self, CreateFlags, ThreadBuilder};
 
 const VARIANTS: &[(SyncType, &str)] = &[
-    (SyncType::TICKET, "ticket"),
-    (SyncType::MCS, "mcs"),
-    (SyncType::HYBRID, "hybrid"),
+    (SyncType::DEFAULT, "sleep"),
+    (SyncType::SPIN, "spin"),
+    (SyncType::ADAPTIVE, "adaptive"),
 ];
 
 /// Hammers one mutex from `workers` threads spawned with `flags`,
@@ -58,11 +59,11 @@ fn hammer(kind: SyncType, flags: CreateFlags, workers: usize, iters: usize) {
 }
 
 #[test]
-fn queue_variants_exclude_on_bound_threads() {
+fn variants_exclude_on_bound_threads() {
     for &(kind, name) in VARIANTS {
         hammer(kind, CreateFlags::WAIT | CreateFlags::BIND_LWP, 4, 2_000);
         // Same again with the DEBUG bookkeeping on: the owner word must
-        // follow every handoff or the exits start panicking.
+        // follow every acquisition or the exits start panicking.
         hammer(
             kind | SyncType::DEBUG,
             CreateFlags::WAIT | CreateFlags::BIND_LWP,
@@ -74,21 +75,23 @@ fn queue_variants_exclude_on_bound_threads() {
 }
 
 #[test]
-fn queue_variants_exclude_on_unbound_threads() {
-    // More unbound threads than pool LWPs, so enters genuinely park the
-    // user thread and exits resume a different one mid-queue.
+fn variants_exclude_on_unbound_threads() {
+    // More unbound threads than pool LWPs, so a contended enter parks
+    // (or, for SPIN, yields) the user thread and the release resumes a
+    // different one.
     for &(kind, name) in VARIANTS {
         hammer(kind, CreateFlags::WAIT, 8, 1_000);
+        hammer(kind | SyncType::DEBUG, CreateFlags::WAIT, 8, 500);
         eprintln!("unbound ok: {name}");
     }
 }
 
 #[test]
-fn queue_variants_round_trip_destroy_and_reinit() {
-    // One storage slot cycling through every queue protocol: the word
-    // layouts are all different, so destroy+init must fully reset the
-    // lock (including the MCS holder-node stash) or the next protocol
-    // misreads leftover state.
+fn variants_round_trip_destroy_and_reinit() {
+    // One storage slot cycling through every variant: ADAPTIVE leaves
+    // its LWP hint in `owner` while held and DEBUG stores a holder id
+    // there, so destroy+init must fully reset the lock or the next
+    // variant misreads leftover state.
     let m = Mutex::new(SyncType::DEFAULT);
     for &(kind, _) in VARIANTS {
         for &debug in &[SyncType::DEFAULT, SyncType::DEBUG] {
@@ -106,16 +109,17 @@ fn queue_variants_round_trip_destroy_and_reinit() {
 }
 
 #[test]
-fn shared_ticket_round_trips_in_process() {
-    // SYNC_SHARED switches the park path to kernel futexes keyed for
-    // cross-process use; within one process it must still be a correct
-    // FIFO lock. (The two-process leg is crates/shm's test.)
+fn shared_variant_excludes_in_process() {
+    // SYNC_SHARED switches every park to a kernel futex keyed for
+    // cross-process use; within one process it must still exclude, on
+    // bound threads and on unbound ones (whose LWP blocks in the kernel).
     hammer(
-        SyncType::TICKET | SyncType::SHARED,
+        SyncType::SHARED,
         CreateFlags::WAIT | CreateFlags::BIND_LWP,
         4,
         2_000,
     );
+    hammer(SyncType::SHARED, CreateFlags::WAIT, 8, 1_000);
 }
 
 /// Spawns a helper that acquires `m` and parks forever *holding it*,
@@ -137,26 +141,26 @@ fn held_by_someone_else(m: &'static Mutex) {
     }
 }
 
-#[test]
-#[should_panic(expected = "mutex_exit by a non-holder")]
-fn debug_ticket_catches_exit_by_non_owner() {
-    let m: &'static Mutex = Box::leak(Box::new(Mutex::new(SyncType::TICKET | SyncType::DEBUG)));
+fn exit_by_non_owner(kind: SyncType) {
+    let m: &'static Mutex = Box::leak(Box::new(Mutex::new(kind | SyncType::DEBUG)));
     held_by_someone_else(m);
     m.exit();
 }
 
 #[test]
 #[should_panic(expected = "mutex_exit by a non-holder")]
-fn debug_mcs_catches_exit_by_non_owner() {
-    let m: &'static Mutex = Box::leak(Box::new(Mutex::new(SyncType::MCS | SyncType::DEBUG)));
-    held_by_someone_else(m);
-    m.exit();
+fn debug_default_catches_exit_by_non_owner() {
+    exit_by_non_owner(SyncType::DEFAULT);
 }
 
 #[test]
 #[should_panic(expected = "mutex_exit by a non-holder")]
-fn debug_hybrid_catches_exit_by_non_owner() {
-    let m: &'static Mutex = Box::leak(Box::new(Mutex::new(SyncType::HYBRID | SyncType::DEBUG)));
-    held_by_someone_else(m);
-    m.exit();
+fn debug_spin_catches_exit_by_non_owner() {
+    exit_by_non_owner(SyncType::SPIN);
+}
+
+#[test]
+#[should_panic(expected = "mutex_exit by a non-holder")]
+fn debug_adaptive_catches_exit_by_non_owner() {
+    exit_by_non_owner(SyncType::ADAPTIVE);
 }

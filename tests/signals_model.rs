@@ -1,13 +1,30 @@
 //! The paper's signal model across threads: traps to the causing thread,
 //! interrupts to any unmasked thread, process-pending while all mask,
 //! `thread_kill` targeting, and `sigsend(P_THREAD_ALL)` broadcast.
+//!
+//! The tests run in parallel and share the process's threads, so an
+//! interrupt may go to any test's unmasked thread. The one test that
+//! needs to know which thread an interrupt is pended on runs with every
+//! other test held off (`exclusive`).
 
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
 use sunos_mt::threads::signals::{self, sig, Disposition, MaskHow};
 use sunos_mt::threads::{self, CreateFlags, ThreadBuilder};
+
+/// Held shared by every test, and exclusively by the one that must be the
+/// only source of unmasked library threads.
+static RUN: RwLock<()> = RwLock::new(());
+
+fn concurrent() -> RwLockReadGuard<'static, ()> {
+    RUN.read().unwrap_or_else(|e| e.into_inner())
+}
+
+fn exclusive() -> RwLockWriteGuard<'static, ()> {
+    RUN.write().unwrap_or_else(|e| e.into_inner())
+}
 
 fn install_counter(signo: u32) -> Arc<AtomicUsize> {
     let hits = Arc::new(AtomicUsize::new(0));
@@ -24,6 +41,7 @@ fn install_counter(signo: u32) -> Arc<AtomicUsize> {
 
 #[test]
 fn thread_kill_reaches_only_the_target() {
+    let _run = concurrent();
     let hits = install_counter(sig::SIGIO);
     let target_ran = Arc::new(AtomicU32::new(0));
     let release = Arc::new(AtomicU32::new(0));
@@ -57,6 +75,7 @@ fn thread_kill_reaches_only_the_target() {
 
 #[test]
 fn interrupt_pends_on_process_while_all_threads_mask_it() {
+    let _run = concurrent();
     let hits = install_counter(sig::SIGALRM);
     let bit = 1u64 << sig::SIGALRM;
     // Mask in this thread; helper threads also mask, then one unmasks.
@@ -92,7 +111,53 @@ fn interrupt_pends_on_process_while_all_threads_mask_it() {
 }
 
 #[test]
+fn interrupt_pended_on_a_thread_that_exits_is_handed_back() {
+    let _run = exclusive();
+    let hits = install_counter(sig::SIGPROF);
+    let bit = 1u64 << sig::SIGPROF;
+    let old = signals::thread_sigsetmask(MaskHow::Block, bit);
+    // The target is the only thread with the signal unmasked. After
+    // unmasking it spins on plain atomics, so it reaches no delivery
+    // point before it exits.
+    let armed = Arc::new(AtomicU32::new(0));
+    let go = Arc::new(AtomicU32::new(0));
+    let (a, g) = (Arc::clone(&armed), Arc::clone(&go));
+    let target = ThreadBuilder::new()
+        .flags(CreateFlags::WAIT | CreateFlags::BIND_LWP)
+        .spawn(move || {
+            signals::thread_sigsetmask(MaskHow::Unblock, bit);
+            a.store(1, Ordering::SeqCst);
+            while g.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
+        })
+        .expect("spawn");
+    while armed.load(Ordering::SeqCst) == 0 {
+        std::thread::yield_now();
+    }
+    let before = hits.load(Ordering::SeqCst);
+    signals::send_interrupt(sig::SIGPROF).expect("send_interrupt");
+    go.store(1, Ordering::SeqCst);
+    threads::wait(Some(target)).expect("wait");
+    assert_eq!(
+        hits.load(Ordering::SeqCst),
+        before,
+        "the target exited without reaching a delivery point"
+    );
+    // The exit handed the interrupt back to the process; unmasking here
+    // claims it.
+    signals::thread_sigsetmask(MaskHow::Unblock, bit);
+    assert_eq!(
+        hits.load(Ordering::SeqCst),
+        before + 1,
+        "an interrupt pended on an exiting thread must not be lost"
+    );
+    signals::thread_sigsetmask(MaskHow::SetMask, old);
+}
+
+#[test]
 fn sigsend_all_reaches_every_thread() {
+    let _run = concurrent();
     let hits = install_counter(sig::SIGVTALRM);
     const N: usize = 4;
     let running = Arc::new(AtomicUsize::new(0));
@@ -135,6 +200,7 @@ fn sigsend_all_reaches_every_thread() {
 
 #[test]
 fn traps_stay_with_the_causing_thread() {
+    let _run = concurrent();
     let hits = install_counter(sig::SIGFPE);
     let which = Arc::new(AtomicU32::new(0));
     let w = Arc::clone(&which);
@@ -155,6 +221,7 @@ fn traps_stay_with_the_causing_thread() {
 
 #[test]
 fn per_thread_masks_are_independent_and_inherited() {
+    let _run = concurrent();
     let bit = 1u64 << sig::SIGINT;
     let old = signals::thread_sigsetmask(MaskHow::Block, bit);
     let child_mask = Arc::new(AtomicU32::new(0));

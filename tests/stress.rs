@@ -2,14 +2,31 @@
 //! thread operation, checking global invariants at the end. Catches
 //! interaction bugs the targeted tests cannot (stop-during-sleep,
 //! priority churn during pool shrink, wait racing exit, ...).
+//!
+//! The tests share one process, so a `thread_wait(NULL)` in one of them
+//! may legitimately reap a `THREAD_WAIT` thread another test created —
+//! process-wide any-wait semantics. The any-wait test therefore runs
+//! with every other test held off (`exclusive`).
 
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use sunmt_bench::rng::SmallRng;
 
 use sunos_mt::sync::{Mutex, Sema, SyncType};
 use sunos_mt::threads::{self, CreateFlags, ThreadBuilder, ThreadId};
+
+/// Held shared by every test, and exclusively by the one that reaps
+/// with `thread_wait(NULL)`.
+static RUN: RwLock<()> = RwLock::new(());
+
+fn concurrent() -> RwLockReadGuard<'static, ()> {
+    RUN.read().unwrap_or_else(|e| e.into_inner())
+}
+
+fn exclusive() -> RwLockWriteGuard<'static, ()> {
+    RUN.write().unwrap_or_else(|e| e.into_inner())
+}
 
 struct World {
     counter_lock: Mutex,
@@ -47,6 +64,7 @@ fn worker(w: Arc<World>, seed: u64) -> impl FnOnce() + Send + 'static {
 
 #[test]
 fn randomized_thread_soup() {
+    let _run = concurrent();
     const SEED: u64 = 0xC0FFEE;
     const WORKERS: usize = 48;
     let mut rng = SmallRng::seed_from_u64(SEED);
@@ -109,6 +127,7 @@ fn randomized_thread_soup() {
 
 #[test]
 fn randomized_soup_is_reproducible_in_outcome() {
+    let _run = concurrent();
     // Two rounds of a smaller soup: totals must match across rounds (the
     // schedule may differ, the work must not).
     let run = || {
@@ -136,6 +155,7 @@ fn randomized_soup_is_reproducible_in_outcome() {
 
 #[test]
 fn interleaved_any_and_specific_waits() {
+    let _run = exclusive();
     let gate = Arc::new(AtomicU32::new(0));
     let mut specific = Vec::new();
     for i in 0..12 {
