@@ -29,9 +29,10 @@
 //!    window cannot include the ack's own wakeup; the minimum over the
 //!    reps discards unrelated pool activity.
 //!
-//! Statistics run alongside: the "chan" stat source and the
-//! ChanSend/ChanRecv/ChanDepth histograms must all have fired, which
-//! pins the end-to-end instrumentation, not just the data path.
+//! Statistics run alongside: the "chan" stat source must count exactly
+//! `msgs x (STAGES + 1)` sends and receives over the pipeline, and the
+//! ChanSend/ChanRecv histograms must have fired, which pins the
+//! end-to-end instrumentation, not just the data path.
 //!
 //! `--smoke` shrinks the budgets for CI; `--json PATH` writes the
 //! machine-readable table (committed as `BENCH_chan.json`).
@@ -53,6 +54,23 @@ fn unbound(f: impl FnOnce() + Send + 'static) -> ThreadId {
         .flags(CreateFlags::WAIT)
         .spawn(f)
         .expect("spawn unbound worker")
+}
+
+/// The "chan" stat source's `sends` and `recvs` totals.
+fn chan_counts() -> (u64, u64) {
+    let snap = sunmt_stat::snapshot();
+    // The source registers with the first channel; before that, nothing
+    // has been sent.
+    let Some((_, kv)) = snap.sources.iter().find(|(name, _)| *name == "chan") else {
+        return (0, 0);
+    };
+    let get = |key: &str| {
+        kv.iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| *v)
+            .unwrap_or_else(|| panic!("the chan source has no {key}"))
+    };
+    (get("sends"), get("recvs"))
 }
 
 /// Drives `msgs` messages through the stage pipeline and returns the
@@ -174,8 +192,10 @@ fn main() {
 
     // 1. Pipeline throughput.
     let fw0 = trace::counters().get(Tag::FutexWake);
+    let (sends0, recvs0) = chan_counts();
     let secs = pipeline(msgs);
     let pipe_wakes = trace::counters().get(Tag::FutexWake) - fw0;
+    let (sends1, recvs1) = chan_counts();
     t.row(
         format!("{STAGES}-stage pipeline, {WORKERS} workers/stage (us/msg)"),
         secs * 1e6 / msgs as f64,
@@ -210,23 +230,23 @@ fn main() {
     trace::disable();
     sunmt_stat::disable();
 
-    // The lockstat-style view of the same run: the "chan" source gauges
-    // and the channel histograms must have fired — this bench gates the
+    // The lockstat-style view of the same run: the "chan" source must
+    // have counted every hop of every pipeline message exactly, and the
+    // channel histograms must have fired — this bench gates the
     // instrumentation end-to-end, not just the data path.
     println!("{}", sunmt_stat::stats_report());
+    let hop_msgs = msgs * (STAGES as u64 + 1);
+    assert_eq!(
+        sends1 - sends0,
+        hop_msgs,
+        "the chan source's sends over the pipeline"
+    );
+    assert_eq!(
+        recvs1 - recvs0,
+        hop_msgs,
+        "the chan source's recvs over the pipeline"
+    );
     let snap = sunmt_stat::snapshot();
-    let chan_src = snap
-        .sources
-        .iter()
-        .find(|(name, _)| *name == "chan")
-        .expect("the chan stat source is registered");
-    let sends = chan_src
-        .1
-        .iter()
-        .find(|(k, _)| k == "sends")
-        .map(|(_, v)| *v)
-        .unwrap_or(0);
-    assert!(sends > 0, "the chan source reported no sends");
     for h in [sunmt_stat::Hs::ChanSend, sunmt_stat::Hs::ChanRecv] {
         assert!(
             snap.hist(h).count > 0,

@@ -22,11 +22,11 @@
 //! spill holds messages.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering::SeqCst};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use sunmt_stat::Hs;
+use sunmt_stat::{tally, Hs, Tally};
 use sunmt_sync::strategy;
 use sunmt_trace::Tag;
 
@@ -34,33 +34,29 @@ use crate::error::{RecvError, RecvTimeoutError, SendError, TryRecvError, TrySend
 use crate::queue::Ring;
 
 // ---------------------------------------------------------------------
-// Always-on subsystem gauges, reported through the "chan" stat source.
+// The "chan" stat source: live channels here, the always-on event
+// totals from the per-LWP tally.
 
-pub(crate) static LIVE: AtomicU64 = AtomicU64::new(0);
-pub(crate) static SENDS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static RECVS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static RECV_PARKS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static SEND_PARKS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static SPILLS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static SELECT_WAITS: AtomicU64 = AtomicU64::new(0);
-pub(crate) static SELECT_WAKES: AtomicU64 = AtomicU64::new(0);
-pub(crate) static ASYNC_WAKES: AtomicU64 = AtomicU64::new(0);
+/// Live channels. A gauge (it goes down as well as up), so it stays a
+/// global; creation and drop are off the send/recv fast path.
+static LIVE: AtomicU64 = AtomicU64::new(0);
 
 fn chan_stat_source() -> Vec<(String, u64)> {
-    [
-        ("channels", LIVE.load(SeqCst)),
-        ("sends", SENDS.load(SeqCst)),
-        ("recvs", RECVS.load(SeqCst)),
-        ("recv_parks", RECV_PARKS.load(SeqCst)),
-        ("send_parks", SEND_PARKS.load(SeqCst)),
-        ("spills", SPILLS.load(SeqCst)),
-        ("select_waits", SELECT_WAITS.load(SeqCst)),
-        ("select_wakes", SELECT_WAKES.load(SeqCst)),
-        ("async_wakes", ASYNC_WAKES.load(SeqCst)),
-    ]
-    .into_iter()
-    .map(|(k, v)| (k.to_string(), v))
-    .collect()
+    let t = tally::totals();
+    let mut out = vec![("channels".to_string(), LIVE.load(SeqCst))];
+    for (k, c) in [
+        ("sends", Tally::ChanSends),
+        ("recvs", Tally::ChanRecvs),
+        ("recv_parks", Tally::ChanRecvParks),
+        ("send_parks", Tally::ChanSendParks),
+        ("spills", Tally::ChanSpills),
+        ("select_waits", Tally::ChanSelectWaits),
+        ("select_wakes", Tally::ChanSelectWakes),
+        ("async_wakes", Tally::ChanAsyncWakes),
+    ] {
+        out.push((k.to_string(), t[c as usize]));
+    }
+    out
 }
 
 fn register_stat_source_once() {
@@ -186,12 +182,12 @@ impl<T> Chan<T> {
             match h {
                 Hook::Event(ev) => {
                     sunmt_trace::probe!(Tag::SelectWake, self.addr(), ev.word.as_ptr() as usize);
-                    SELECT_WAKES.fetch_add(1, SeqCst);
+                    tally::count(Tally::ChanSelectWakes);
                     ev.fire();
                 }
                 Hook::Task(w) => {
                     sunmt_trace::probe!(Tag::SelectWake, self.addr(), 0u32);
-                    ASYNC_WAKES.fetch_add(1, SeqCst);
+                    tally::count(Tally::ChanAsyncWakes);
                     w.wake();
                 }
             }
@@ -281,7 +277,7 @@ impl<T: Send> Chan<T> {
         q.push_back(v);
         sp.len.fetch_add(1, SeqCst);
         drop(q);
-        SPILLS.fetch_add(1, SeqCst);
+        tally::count(Tally::ChanSpills);
         self.after_send();
         Ok(())
     }
@@ -289,16 +285,20 @@ impl<T: Send> Chan<T> {
     /// Publish-side epilogue: trace/stat the committed message, then
     /// wake one parked receiver and any select/async registrations.
     ///
-    /// The `SeqCst` fence closes the store→load race between publishing
-    /// the message and reading the waiter count: without it a receiver
-    /// could register + re-check + park entirely inside our store
-    /// buffer's shadow and the wake would be lost.
+    /// The message was published by a `SeqCst` RMW (the ring's tail CAS
+    /// or the spill's length add), and the waiter and hook counts are
+    /// read `SeqCst` after it; a parking receiver does the mirror image
+    /// (`SeqCst` registration, then `SeqCst` reads of the cursors), so
+    /// one of the two always sees the other (DESIGN §12). Depth costs a
+    /// read of the consumers' cursor line, so it is taken only when a
+    /// probe will record it.
     fn after_send(&self) {
-        let depth = self.len();
-        sunmt_trace::probe!(Tag::ChanSend, self.addr(), depth);
-        sunmt_stat::stat_record!(Hs::ChanDepth, depth);
-        SENDS.fetch_add(1, SeqCst);
-        fence(SeqCst);
+        if sunmt_trace::enabled() || sunmt_stat::enabled() {
+            let depth = self.len();
+            sunmt_trace::probe!(Tag::ChanSend, self.addr(), depth);
+            sunmt_stat::stat_record!(Hs::ChanDepth, depth);
+        }
+        tally::count(Tally::ChanSends);
         if self.recv_waiters.load(SeqCst) > 0 {
             self.recv_event.fetch_add(1, SeqCst);
             strategy::unpark(&self.recv_event, 1, false);
@@ -329,7 +329,7 @@ impl<T: Send> Chan<T> {
                 continue;
             }
             sunmt_trace::probe!(Tag::ChanPark, self.addr(), 1u32);
-            SEND_PARKS.fetch_add(1, SeqCst);
+            tally::count(Tally::ChanSendParks);
             strategy::park(&self.send_event, seen, false);
             self.send_waiters.fetch_sub(1, SeqCst);
         }
@@ -382,11 +382,11 @@ impl<T: Send> Chan<T> {
     }
 
     /// Consume-side epilogue: trace the message out and wake one parked
-    /// sender (same fence rationale as [`Chan::after_send`]).
+    /// sender (same ordering argument as [`Chan::after_send`], with the
+    /// head CAS as the publishing RMW).
     fn after_recv(&self) {
         sunmt_trace::probe!(Tag::ChanRecv, self.addr(), self.len());
-        RECVS.fetch_add(1, SeqCst);
-        fence(SeqCst);
+        tally::count(Tally::ChanRecvs);
         if self.send_waiters.load(SeqCst) > 0 {
             self.send_event.fetch_add(1, SeqCst);
             strategy::unpark(&self.send_event, 1, false);
@@ -414,7 +414,7 @@ impl<T: Send> Chan<T> {
                 continue;
             }
             sunmt_trace::probe!(Tag::ChanPark, self.addr(), 0u32);
-            RECV_PARKS.fetch_add(1, SeqCst);
+            tally::count(Tally::ChanRecvParks);
             strategy::park(&self.recv_event, seen, false);
             self.recv_waiters.fetch_sub(1, SeqCst);
         }
@@ -447,7 +447,7 @@ impl<T: Send> Chan<T> {
                 return Err(RecvTimeoutError::Timeout);
             }
             sunmt_trace::probe!(Tag::ChanPark, self.addr(), 0u32);
-            RECV_PARKS.fetch_add(1, SeqCst);
+            tally::count(Tally::ChanRecvParks);
             strategy::park_timeout(&self.recv_event, seen, false, deadline - now);
             self.recv_waiters.fetch_sub(1, SeqCst);
         }

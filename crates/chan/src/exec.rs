@@ -101,12 +101,24 @@ impl<T: Send> Future for RecvFuture<'_, T> {
             Err(TryRecvError::Empty) => {}
         }
         // Register, then re-check: a message that arrived before the
-        // registration was visible would otherwise never wake us.
+        // registration was visible would otherwise never wake us. The
+        // re-check reads the cursors (`recv_ready`), not the slot: the
+        // sender's tail CAS is the write its `hook_count` read is
+        // ordered after (DESIGN §12), while its slot publication may
+        // still be in flight.
         self.rx.chan().register_hook(Hook::Task(cx.waker().clone()));
+        if !self.rx.chan().recv_ready() {
+            return Poll::Pending;
+        }
         match self.rx.try_recv() {
             Ok(v) => Poll::Ready(Ok(v)),
             Err(TryRecvError::Disconnected) => Poll::Ready(Err(RecvError)),
-            Err(TryRecvError::Empty) => Poll::Pending,
+            Err(TryRecvError::Empty) => {
+                // Claimed but not yet published, or taken by another
+                // receiver: poll again rather than wait for a wake.
+                cx.waker().wake_by_ref();
+                Poll::Pending
+            }
         }
     }
 }

@@ -74,10 +74,13 @@ impl<T> Ring<T> {
             let dif = seq as isize - pos as isize;
             if dif == 0 {
                 // Our turn: claim the slot by advancing the cursor.
+                // `SeqCst` on success: this CAS is the send's publishing
+                // RMW in the channel's store-buffering argument (DESIGN
+                // §12), which is what lets the channel drop its fence.
                 match self.tail.0.compare_exchange_weak(
                     pos,
                     pos + 1,
-                    Ordering::Relaxed,
+                    Ordering::SeqCst,
                     Ordering::Relaxed,
                 ) {
                     Ok(_) => {
@@ -107,10 +110,12 @@ impl<T> Ring<T> {
             let seq = slot.seq.load(Ordering::Acquire);
             let dif = seq as isize - (pos + 1) as isize;
             if dif == 0 {
+                // `SeqCst` on success: the receive's publishing RMW,
+                // mirroring `try_push`.
                 match self.head.0.compare_exchange_weak(
                     pos,
                     pos + 1,
-                    Ordering::Relaxed,
+                    Ordering::SeqCst,
                     Ordering::Relaxed,
                 ) {
                     Ok(_) => {
@@ -130,10 +135,12 @@ impl<T> Ring<T> {
     }
 
     /// Approximate occupancy (racy by nature; used for gating park
-    /// decisions — always re-checked — and for depth statistics).
+    /// decisions — always re-checked — and for depth statistics). The
+    /// loads are `SeqCst` because a parking side's re-check is the
+    /// read half of the store-buffering pair with the cursor CASes.
     pub(crate) fn len(&self) -> usize {
-        let tail = self.tail.0.load(Ordering::Relaxed);
-        let head = self.head.0.load(Ordering::Relaxed);
+        let tail = self.tail.0.load(Ordering::SeqCst);
+        let head = self.head.0.load(Ordering::SeqCst);
         tail.saturating_sub(head)
     }
 }

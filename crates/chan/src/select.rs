@@ -18,9 +18,10 @@ use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
 use std::time::Duration;
 
+use sunmt_stat::{tally, Tally};
 use sunmt_sync::strategy;
 
-use crate::channel::{Hook, Receiver, SelectEvent, SELECT_WAITS};
+use crate::channel::{Hook, Receiver, SelectEvent};
 
 pub(crate) mod sealed {
     use crate::channel::Hook;
@@ -89,7 +90,7 @@ impl<'a> Select<'a> {
     /// Panics if no ports were added (there is nothing to wait for).
     pub fn wait(&mut self) -> usize {
         assert!(!self.ports.is_empty(), "select with no ports");
-        SELECT_WAITS.fetch_add(1, SeqCst);
+        tally::count(Tally::ChanSelectWaits);
         let ev = self.event();
         loop {
             let seen = ev.word.load(SeqCst);
@@ -108,7 +109,7 @@ impl<'a> Select<'a> {
     /// Like [`Select::wait`] with a deadline; `None` on timeout.
     pub fn wait_timeout(&mut self, timeout: Duration) -> Option<usize> {
         assert!(!self.ports.is_empty(), "select with no ports");
-        SELECT_WAITS.fetch_add(1, SeqCst);
+        tally::count(Tally::ChanSelectWaits);
         let deadline = sunmt_sys::time::monotonic_now() + timeout;
         let ev = self.event();
         loop {

@@ -380,7 +380,18 @@ impl<T: RunItem> ShardedRunQueue<T> {
     }
 
     /// Pops from the injection queue only.
+    ///
+    /// An empty advertisement (`inject_top == -1`) returns `None` without
+    /// the global lock. That cannot strand an injected thread: every
+    /// injecting push publishes `inject_top` under the inject lock before
+    /// `wake_one_idle` takes `m.idle`, and an LWP about to park pushes
+    /// itself onto `m.idle` under that same lock and then pops again. So
+    /// either the pusher finds the LWP idle and unparks it, or the LWP's
+    /// re-pop is ordered after the publish and reads it.
     pub fn pop_inject(&self) -> Option<T> {
+        if self.inject_top.load(Ordering::Acquire) < 0 {
+            return None;
+        }
         let mut q = unpoisoned(&self.inject);
         let t = q.pop();
         self.inject_top.store(q.top_level(), Ordering::Release);

@@ -13,12 +13,13 @@
 
 use std::cell::{RefCell, UnsafeCell};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use sunmt_context::arch::{self, MachContext};
 use sunmt_context::stack::{Stack, StackCache};
 use sunmt_lwp::{registry, Lwp, LwpState};
+use sunmt_stat::{tally, Tally};
 use sunmt_sync::{Sema, SyncType};
 use sunmt_trace::{probe, Tag};
 
@@ -90,21 +91,6 @@ pub(crate) struct Mt {
     /// Interrupts sent while every thread had them masked "pend on the
     /// process until a thread unmasks that signal".
     pub proc_pending: std::sync::atomic::AtomicU64,
-    /// Total user-level dispatches ever performed (always counted).
-    pub dispatches: AtomicU64,
-    /// Total pool-growth events (setconcurrency, NEW_LWP, SIGWAITING).
-    pub pool_grows: AtomicU64,
-    /// Total user-level sleeps ended by their deadline (timer LWP wakeups).
-    pub timeout_wakeups: AtomicU64,
-    /// Parked pool LWPs unparked because a push handed them work.
-    pub idle_wakes: AtomicU64,
-    /// Running threads switched out at a tick because something better was
-    /// runnable on their shard or the injection queue.
-    pub preempts: AtomicU64,
-    /// Timeshare decay steps applied at preemption ticks.
-    pub decays: AtomicU64,
-    /// Effective priority-inheritance boosts pushed by blocked waiters.
-    pub pi_boosts: AtomicU64,
     /// Running hints of live pool LWPs — the timer tick's fan-out list.
     pub pool_hints: Mutex<Vec<u32>>,
     /// Whether the `sunmt-tick` ticker LWP has been spawned.
@@ -137,13 +123,6 @@ pub(crate) fn mt() -> &'static Mt {
             pool_auto: AtomicBool::new(true),
             handlers: Mutex::new(HashMap::new()),
             proc_pending: std::sync::atomic::AtomicU64::new(0),
-            dispatches: AtomicU64::new(0),
-            pool_grows: AtomicU64::new(0),
-            timeout_wakeups: AtomicU64::new(0),
-            idle_wakes: AtomicU64::new(0),
-            preempts: AtomicU64::new(0),
-            decays: AtomicU64::new(0),
-            pi_boosts: AtomicU64::new(0),
             pool_hints: Mutex::new(Vec::new()),
             ticker_started: AtomicBool::new(false),
         }
@@ -273,12 +252,12 @@ pub(crate) fn preempt_check() {
     }
     let m = mt();
     let decayed = t.decay_tick();
-    m.decays.fetch_add(1, Ordering::Relaxed);
+    tally::count(Tally::Decays);
     probe!(Tag::PrioDecay, t.id.0, decayed);
     let eff = decayed.max(sunmt_lwp::boost_of(me.running_hint()));
     drop(me);
     if my_shard().is_some_and(|shard| m.runq.preempt_priority(shard) > eff) {
-        m.preempts.fetch_add(1, Ordering::Relaxed);
+        tally::count(Tally::Preempts);
         probe!(Tag::Preempt, t.id.0, eff);
         drop(t);
         // Requeued at the decayed priority (RunItem::priority is the
@@ -435,12 +414,12 @@ pub(crate) fn create_thread(
             Arc::get_mut(&mut t)
                 .expect("magazine returned a shared thread object")
                 .reinit(id, flags, priority, sigmask, cont, tls_len, initial);
-            crate::magazine::note_hit();
+            tally::count(Tally::MagazineHits);
             probe!(Tag::MagazineHit, 1u64, 0u64);
             t
         }
         None => {
-            crate::magazine::note_miss();
+            tally::count(Tally::MagazineMisses);
             probe!(Tag::MagazineMiss, 1u64, 0u64);
             Thread::new(
                 id,
@@ -583,7 +562,7 @@ fn run_one(t: Arc<Thread>) {
     t.set_state(ThreadState::Running);
     let q0 = t.queued_cy.swap(0, Ordering::Relaxed);
     sunmt_stat::record_since(sunmt_stat::Hs::RunqWait, q0);
-    mt().dispatches.fetch_add(1, Ordering::Relaxed);
+    tally::count(Tally::Dispatches);
     t.ctx_switches.fetch_add(1, Ordering::Relaxed);
     // A fresh quantum: a tick aimed at the previous occupant of this LWP
     // and any PI boost it carried die here, and the thread publishes where
@@ -737,7 +716,7 @@ fn wake_one_idle(placement: Placement) {
         }
     };
     if let Some(lwp) = lwp {
-        m.idle_wakes.fetch_add(1, Ordering::Relaxed);
+        tally::count(Tally::IdleWakes);
         lwp.parker().unpark();
         return;
     }
@@ -824,7 +803,7 @@ pub(crate) fn timeout_wakeup(addr: usize, t: Arc<Thread>) {
     // timeout after consuming it would be the classic requeue race.
     let removed = mt().sleepers.remove_thread_at(addr, &t);
     if removed {
-        mt().timeout_wakeups.fetch_add(1, Ordering::Relaxed);
+        tally::count(Tally::TimeoutWakeups);
         probe!(Tag::SleepTimeout, t.id.0, addr);
         t.wake_restore();
         make_runnable(t);
@@ -1179,7 +1158,7 @@ fn add_pool_lwp() {
     match Lwp::spawn_named("sunmt-pool".to_string(), sched_loop) {
         Ok(lwp) => {
             drop(lwp); // Detached; pool membership is the identity.
-            m.pool_grows.fetch_add(1, Ordering::Relaxed);
+            tally::count(Tally::PoolGrows);
             probe!(Tag::PoolGrow, m.pool_count.load(Ordering::SeqCst));
             ensure_ticker();
         }
@@ -1212,7 +1191,9 @@ fn sigwaiting_handler() {
 /// is the sharded queue's atomic total — exact (every push/pop adjusts it
 /// exactly once) but read without stopping the shards, so it can lag a
 /// concurrent transition by one; quiesce the process for exact snapshots,
-/// as the tests do.
+/// as the tests do. The event totals (`dispatches` … `cv_requeues`) are a
+/// view over the always-on `sunmt_stat::tally`, read first and outside
+/// the locks below.
 ///
 /// Lock ordering (the library's canonical order — nothing else in the
 /// library holds two of these at once, so this function defines it):
@@ -1223,6 +1204,7 @@ fn sigwaiting_handler() {
 /// future code that must nest them has to follow the same order.
 pub fn stats() -> SchedStats {
     let m = mt();
+    let t = tally::totals();
     let sleeping = m.sleepers.len();
     let idle = unpoisoned(&m.idle);
     let threads = unpoisoned(&m.threads);
@@ -1232,19 +1214,19 @@ pub fn stats() -> SchedStats {
         pool_lwps: m.pool_count.load(Ordering::SeqCst),
         idle_lwps: idle.len(),
         live_threads: threads.len(),
-        dispatches: m.dispatches.load(Ordering::Relaxed),
-        pool_grows: m.pool_grows.load(Ordering::Relaxed),
-        timeout_wakeups: m.timeout_wakeups.load(Ordering::Relaxed),
+        dispatches: t[Tally::Dispatches as usize],
+        pool_grows: t[Tally::PoolGrows as usize],
+        timeout_wakeups: t[Tally::TimeoutWakeups as usize],
         steals: m.runq.steal_count(),
         injects: m.runq.inject_count(),
         overflows: m.runq.overflow_count(),
-        idle_wakes: m.idle_wakes.load(Ordering::Relaxed),
-        preempts: m.preempts.load(Ordering::Relaxed),
-        decays: m.decays.load(Ordering::Relaxed),
-        pi_boosts: m.pi_boosts.load(Ordering::Relaxed),
-        magazine_hits: crate::magazine::hit_count(),
-        magazine_misses: crate::magazine::miss_count(),
-        cv_requeues: sunmt_sync::condvar::requeue_count(),
+        idle_wakes: t[Tally::IdleWakes as usize],
+        preempts: t[Tally::Preempts as usize],
+        decays: t[Tally::Decays as usize],
+        pi_boosts: t[Tally::PiBoosts as usize],
+        magazine_hits: t[Tally::MagazineHits as usize],
+        magazine_misses: t[Tally::MagazineMisses as usize],
+        cv_requeues: t[Tally::CvRequeues as usize],
     }
 }
 

@@ -22,15 +22,18 @@
 //!
 //! Results come out three ways: [`stats_report`] (human lockstat-style
 //! tables), [`prometheus`] (text exposition), and [`snapshot_json`]
-//! (machine-readable snapshot). Subsystems that keep their own always-on
-//! counters (scheduler shards, poller) publish them through
-//! [`register_source`] so every exposition includes them.
+//! (machine-readable snapshot). Process-lifetime totals that must be
+//! counted whether or not stats are enabled (dispatches, channel sends,
+//! magazine hits) live in the always-on per-LWP [`tally`]. Subsystems
+//! publish those totals and their own gauges (scheduler shards, poller)
+//! through [`register_source`] so every exposition includes them.
 
 #![deny(missing_docs)]
 
 pub mod hist;
 pub mod lock;
 pub mod report;
+pub mod tally;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -38,6 +41,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 pub use hist::{Hist, NBUCKETS};
 pub use lock::LockSnapshot;
 pub use report::{prometheus, snapshot_json, stats_report};
+pub use tally::Tally;
 
 /// Monotonic counter vocabulary. Extend by adding a variant and its row
 /// in [`Ctr::ALL`]/[`Ctr::name`]; the indexed-array test keeps them
@@ -339,7 +343,8 @@ pub fn register_source(name: &'static str, f: SourceFn) {
 // Control and snapshot.
 
 /// Starts a statistics epoch: zeroes every per-LWP block and the lock
-/// table, then turns probes on.
+/// table, then turns probes on. The always-on [`tally`] is not an epoch
+/// counter and keeps its totals.
 pub fn enable() {
     for b in registry().lock().expect("stat registry").iter() {
         for c in &b.counters {

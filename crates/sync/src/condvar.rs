@@ -4,23 +4,12 @@
 //! true. Condition variables must be used in conjunction with a mutex lock.
 //! This implements a typical monitor."
 
-use core::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use core::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use core::time::Duration;
 
 use crate::mutex::Mutex;
 use crate::strategy;
 use crate::types::SyncType;
-
-/// Process-lifetime count of broadcasts that morphed waiters onto their
-/// mutex. Always on (one `fetch_add` per broadcast, not per wakeup) so
-/// the scheduler's `stats()` snapshot can report it without the stat or
-/// trace layers enabled.
-static REQUEUES: AtomicU64 = AtomicU64::new(0);
-
-/// Total wait-morphing broadcasts since process start.
-pub fn requeue_count() -> u64 {
-    REQUEUES.load(Ordering::Relaxed)
-}
 
 /// A SunOS-style condition variable (`condvar_t`).
 ///
@@ -210,7 +199,7 @@ impl Condvar {
         let shared = self.shared();
         match self.morph_target(shared) {
             Some(target) => {
-                REQUEUES.fetch_add(1, Ordering::Relaxed);
+                sunmt_stat::tally::count(sunmt_stat::Tally::CvRequeues);
                 sunmt_stat::stat_count!(sunmt_stat::Ctr::CvMorph);
                 sunmt_trace::probe!(
                     sunmt_trace::Tag::CvRequeue,

@@ -48,13 +48,17 @@ impl Sema {
         SyncType(self.kind.load(Ordering::Relaxed)).is_shared()
     }
 
+    /// Takes one unit if the count is positive. Every access is `SeqCst`
+    /// because a registered waiter's retry is the read half of the
+    /// Dekker pair described at [`Self::v`]; on x86 this costs nothing
+    /// (plain loads, and `lock cmpxchg` whatever the ordering).
     #[inline]
     fn try_dec(&self) -> bool {
-        let mut c = self.count.load(Ordering::Relaxed);
+        let mut c = self.count.load(Ordering::SeqCst);
         while c > 0 {
             match self
                 .count
-                .compare_exchange_weak(c, c - 1, Ordering::Acquire, Ordering::Relaxed)
+                .compare_exchange_weak(c, c - 1, Ordering::SeqCst, Ordering::SeqCst)
             {
                 Ok(_) => return true,
                 Err(actual) => c = actual,
@@ -71,7 +75,7 @@ impl Sema {
         let shared = self.shared();
         let site = &self.count as *const _ as usize;
         let t0 = sunmt_stat::lock::slow_begin(site);
-        self.waiters.fetch_add(1, Ordering::Relaxed);
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         loop {
             if self.try_dec() {
                 break;
@@ -85,7 +89,7 @@ impl Sema {
             }
             strategy::park(&self.count, 0, shared);
         }
-        self.waiters.fetch_sub(1, Ordering::Relaxed);
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         sunmt_stat::lock::block_end(site, t0);
     }
 
@@ -100,7 +104,7 @@ impl Sema {
         let shared = self.shared();
         let site = &self.count as *const _ as usize;
         let t0 = sunmt_stat::lock::slow_begin(site);
-        self.waiters.fetch_add(1, Ordering::Relaxed);
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         let got = loop {
             if self.try_dec() {
                 break true;
@@ -118,7 +122,7 @@ impl Sema {
             }
             strategy::park_timeout(&self.count, 0, shared, deadline - now);
         };
-        self.waiters.fetch_sub(1, Ordering::Relaxed);
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         sunmt_stat::lock::block_end(site, t0);
         got
     }
@@ -134,9 +138,20 @@ impl Sema {
     /// Safe to call from contexts that must not block (the paper allows
     /// semaphores "for asynchronous event notification (e.g. in signal
     /// handlers)").
+    ///
+    /// The wake is gated on the waiter count, which makes `v` and a
+    /// blocking `p` a Dekker pair: `v` writes `count` then reads
+    /// `waiters`; `p` writes `waiters` then re-reads `count` before it
+    /// parks. With weaker orderings both reads may return the old value
+    /// (each write still sitting in its CPU's store buffer), so `p` parks
+    /// on a count that is already positive and `v` skips the unpark: a
+    /// lost wakeup. All four accesses are `SeqCst`, so in their single
+    /// total order either `v`'s add comes before `p`'s re-read (`p` takes
+    /// the unit) or `p`'s registration comes before `v`'s read (`v`
+    /// unparks).
     pub fn v(&self) {
-        self.count.fetch_add(1, Ordering::Release);
-        if self.waiters.load(Ordering::Relaxed) > 0 {
+        self.count.fetch_add(1, Ordering::SeqCst);
+        if self.waiters.load(Ordering::SeqCst) > 0 {
             strategy::unpark(&self.count, 1, self.shared());
         }
     }
